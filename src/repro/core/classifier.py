@@ -120,8 +120,17 @@ class FailurePatternClassifier:
 
     @property
     def feature_importances(self) -> Dict[str, float]:
-        """Feature name -> normalised split-gain importance."""
+        """Feature name -> normalised split-gain importance.
+
+        Split gains are not persisted, so importances exist only on a
+        model fitted in this process, not on one rebuilt from a pipeline
+        document or checkpoint.
+        """
         if not self._fitted:
             raise RuntimeError("classifier is not fitted")
+        if self.model.feature_importances_ is None:
+            raise RuntimeError(
+                "feature importances exist only on a model fitted in this "
+                "process; a loaded model carries no split gains")
         names = self.featurizer.feature_names()
         return dict(zip(names, self.model.feature_importances_.tolist()))

@@ -68,10 +68,7 @@ def _model_from_obj(obj: dict):
     loader = _DESERIALIZERS.get(obj.get("kind"))
     if loader is None:
         raise ModelPersistenceError(f"unknown model kind: {obj.get('kind')!r}")
-    model = loader(obj)
-    if hasattr(model, "_fitted"):
-        model._fitted = True
-    return model
+    return loader(obj)
 
 
 # -- pipeline documents -----------------------------------------------------------

@@ -15,6 +15,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.ml._binning import BinMapper
+from repro.ml._compiled import compiled_ensemble
 from repro.ml._hist import HistTree, TreeParams
 from repro.ml.parallel import ForestSpec, grow_forest, resolve_n_jobs
 from repro.ml.tree import resolve_max_features
@@ -70,6 +71,7 @@ class RandomForestClassifier:
         self.classes_: Optional[np.ndarray] = None
         self.trees_: List[HistTree] = []
         self._mapper: Optional[BinMapper] = None
+        self._compiled = None
         self.feature_importances_: Optional[np.ndarray] = None
 
     def fit(self, X, y, sample_weight=None) -> "RandomForestClassifier":
@@ -126,11 +128,7 @@ class RandomForestClassifier:
         """Average of per-tree leaf class frequencies."""
         if not self.trees_:
             raise RuntimeError("forest is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        binned = self._mapper.transform(X)
-        proba = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
-        for tree in self.trees_:
-            proba += tree.predict_value(binned)
+        proba = compiled_ensemble(self).accumulate(X)
         proba /= len(self.trees_)
         return proba
 

@@ -20,6 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.ml._binning import BinMapper
+from repro.ml._compiled import compiled_ensemble
 from repro.ml._hist import HistTree, TreeParams
 from repro.ml.parallel import (BoostingPool, RoundSpec, RoundTask,
                                resolve_n_jobs)
@@ -94,6 +95,7 @@ class XGBClassifier:
         # rounds x classes matrix of trees (1 column in binary mode)
         self.trees_: List[List[HistTree]] = []
         self._mapper: Optional[BinMapper] = None
+        self._compiled = None
         self._base_raw: float = 0.0
         self.feature_importances_: Optional[np.ndarray] = None
 
@@ -203,18 +205,9 @@ class XGBClassifier:
         otherwise)."""
         if not self.trees_:
             raise RuntimeError("model is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        binned = self._mapper.transform(X)
-        if self._is_binary:
-            raw = np.full(X.shape[0], self._base_raw, dtype=np.float64)
-            for (tree,) in self.trees_:
-                raw += self.learning_rate * tree.predict_value(binned)[:, 0]
-            return raw
-        raw = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
-        for round_trees in self.trees_:
-            for k, tree in enumerate(round_trees):
-                raw[:, k] += self.learning_rate * tree.predict_value(binned)[:, 0]
-        return raw
+        raw = compiled_ensemble(self, self.learning_rate).accumulate(
+            X, self._base_raw)
+        return raw[:, 0] if self._is_binary else raw
 
     def predict_proba(self, X) -> np.ndarray:
         """Class probability estimates."""

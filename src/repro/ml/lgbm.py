@@ -21,6 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.ml._binning import BinMapper
+from repro.ml._compiled import compiled_ensemble
 from repro.ml._hist import HistTree, TreeParams
 from repro.ml.gbdt import _sigmoid, _softmax
 from repro.ml.parallel import (BoostingPool, RoundSpec, RoundTask,
@@ -86,6 +87,7 @@ class LGBMClassifier:
         self.classes_: Optional[np.ndarray] = None
         self.trees_: List[List[HistTree]] = []
         self._mapper: Optional[BinMapper] = None
+        self._compiled = None
         self.feature_importances_: Optional[np.ndarray] = None
 
     @property
@@ -221,18 +223,8 @@ class LGBMClassifier:
         """Raw boosted scores."""
         if not self.trees_:
             raise RuntimeError("model is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        binned = self._mapper.transform(X)
-        if self._is_binary:
-            raw = np.zeros(X.shape[0], dtype=np.float64)
-            for (tree,) in self.trees_:
-                raw += self.learning_rate * tree.predict_value(binned)[:, 0]
-            return raw
-        raw = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
-        for round_trees in self.trees_:
-            for k, tree in enumerate(round_trees):
-                raw[:, k] += self.learning_rate * tree.predict_value(binned)[:, 0]
-        return raw
+        raw = compiled_ensemble(self, self.learning_rate).accumulate(X)
+        return raw[:, 0] if self._is_binary else raw
 
     def predict_proba(self, X) -> np.ndarray:
         """Class probability estimates."""

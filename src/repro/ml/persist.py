@@ -188,8 +188,4 @@ def load_model(source: Union[str, Path]):
     loader = _DESERIALIZERS.get(obj.get("kind"))
     if loader is None:
         raise ModelPersistenceError(f"unknown model kind: {obj.get('kind')!r}")
-    model = loader(obj)
-    # mark boosted/forest models as fitted for downstream checks
-    if hasattr(model, "_fitted"):
-        model._fitted = True
-    return model
+    return loader(obj)

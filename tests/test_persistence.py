@@ -125,6 +125,17 @@ class TestCordialRoundtrip:
         assert np.allclose(a.probabilities, b.probabilities)
         assert (a.flagged == b.flagged).all()
 
+    def test_importances_need_in_process_fit(self, fitted, tmp_path):
+        path = tmp_path / "pipeline.json"
+        save_cordial(fitted, path)
+        assert len(fitted.classifier.feature_importances) > 0
+        loaded = load_cordial(path)
+        with pytest.raises(RuntimeError, match="fitted in this process"):
+            loaded.classifier.feature_importances
+        # asking did not change what the pipeline serialises to
+        save_cordial(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
     def test_unfitted_rejected(self, tmp_path):
         with pytest.raises(ModelPersistenceError):
             save_cordial(Cordial(), tmp_path / "p.json")
