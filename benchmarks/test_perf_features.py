@@ -1,17 +1,17 @@
 """Perf smoke test of the vectorized and incremental feature paths.
 
-Times the two PR-4 rewrites against their scalar references on the
-benchmark fleet and records the speedups to a ``BENCH_features.json``
-artifact:
+Times the vectorized and incremental feature paths against their
+references on the benchmark fleet and records the speedups to a
+``BENCH_features.json`` artifact:
 
 * batch — ``BankPatternFeaturizer.extract_many`` and
-  ``CrossRowFeaturizer.extract_blocks`` versus a per-record scalar loop
-  over the same trigger histories;
+  ``CrossRowFeaturizer.extract_blocks`` versus the per-record scalar
+  walks of ``tests/reference_features.py`` over the same trigger
+  histories;
 * incremental — the per-reprediction feature path across every
   serve-replay snapshot: O(1) ``IncrementalFeatureState`` folding versus
   re-packing the full bank history each time, plus end-to-end serve
-  wall-clock under both service flags (``incremental_features``) for
-  context.
+  wall-clock for context.
 
 Both rewrites are exact: the bitwise-equality assertions here mirror
 ``tests/test_feature_equivalence.py`` so a perf win can never mask a
@@ -36,6 +36,7 @@ from repro.core.incremental import IncrementalFeatureState
 from repro.core.online import CordialService
 from repro.core.pipeline import collect_snapshots, collect_triggers
 from repro.experiments.serve import serve_stream
+from tests.reference_features import block_features, pattern_features
 
 from conftest import BENCH_SCALE
 
@@ -57,12 +58,12 @@ def test_feature_extraction_speedups(context):
     bank = BankPatternFeaturizer()
     warmup = histories[:8]
     bank.extract_many(warmup)  # first-call numpy dispatch is not the story
-    [bank.extract(h) for h in warmup]
+    [pattern_features(h) for h in warmup]
     start = time.perf_counter()
     batch_matrix = bank.extract_many(histories)
     t_batch = time.perf_counter() - start
     start = time.perf_counter()
-    scalar_matrix = np.vstack([bank.extract(h) for h in histories])
+    scalar_matrix = np.vstack([pattern_features(h) for h in histories])
     t_scalar = time.perf_counter() - start
     assert np.array_equal(batch_matrix, scalar_matrix)
 
@@ -70,13 +71,13 @@ def test_feature_extraction_speedups(context):
     crossrow = CrossRowFeaturizer()
     anchors = [t.uer_rows[-1] for t in triggers]
     crossrow.extract_blocks(histories[0], anchors[0])
-    crossrow.extract_blocks_scalar(histories[0], anchors[0])
+    block_features(crossrow, histories[0], anchors[0])
     start = time.perf_counter()
     fast_blocks = [crossrow.extract_blocks(h, a)
                    for h, a in zip(histories, anchors)]
     t_blocks = time.perf_counter() - start
     start = time.perf_counter()
-    slow_blocks = [crossrow.extract_blocks_scalar(h, a)
+    slow_blocks = [block_features(crossrow, h, a)
                    for h, a in zip(histories, anchors)]
     t_blocks_scalar = time.perf_counter() - start
     for fast, slow in zip(fast_blocks, slow_blocks):
@@ -113,23 +114,15 @@ def test_feature_extraction_speedups(context):
             assert np.array_equal(folded, recomputed)
             n_repredictions += 1
 
-    # -- end-to-end serve-replay under both service flags ----------------
+    # -- end-to-end serve-replay -----------------------------------------
     cordial = context.model("LightGBM")
     _, test_banks = context.split
     test_set = set(test_banks)
     stream = [r for r in dataset.store if r.bank_key in test_set]
 
-    incremental = CordialService(cordial, incremental_features=True)
     start = time.perf_counter()
-    _, fast_decisions = serve_stream(incremental, stream)
-    t_incremental = time.perf_counter() - start
-
-    recompute = CordialService(cordial, incremental_features=False)
-    start = time.perf_counter()
-    _, slow_decisions = serve_stream(recompute, stream)
-    t_recompute = time.perf_counter() - start
-    assert [d.to_obj() for d in fast_decisions] == \
-        [d.to_obj() for d in slow_decisions]
+    serve_stream(CordialService(cordial), stream)
+    t_serve = time.perf_counter() - start
 
     record = {
         "scale": BENCH_SCALE,
@@ -145,9 +138,7 @@ def test_feature_extraction_speedups(context):
         "repredict_fold_s": round(t_fold, 4),
         "repredict_recompute_s": round(t_recompute_features, 4),
         "repredict_speedup": round(t_recompute_features / t_fold, 2),
-        "serve_incremental_s": round(t_incremental, 3),
-        "serve_recompute_s": round(t_recompute, 3),
-        "serve_speedup": round(t_recompute / t_incremental, 2),
+        "serve_s": round(t_serve, 3),
     }
     with open(PERF_OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2)

@@ -2,9 +2,9 @@
 
 Unlike the experiment benches (one-shot regenerations), these measure
 steady-state throughput with repeated rounds: MCE parsing, store
-indexing, collector ingestion and stream compaction. Useful to size a
-deployment (a fleet BMC aggregator sees ~10-100 events/s; these paths
-run orders of magnitude faster).
+indexing and collector ingestion. Useful to size a deployment (a fleet
+BMC aggregator sees ~10-100 events/s; these paths run orders of
+magnitude faster).
 """
 
 import io
@@ -12,7 +12,6 @@ import io
 import pytest
 
 from repro.telemetry.collector import BMCCollector
-from repro.telemetry.dedup import StreamCompactor
 from repro.telemetry.mcelog import read_mce_log, write_mce_log
 from repro.telemetry.store import ErrorStore
 
@@ -54,11 +53,3 @@ def test_perf_collector_ingestion(benchmark, records):
     triggers = benchmark.pedantic(ingest_all, rounds=3, iterations=1)
     assert triggers > 0
 
-
-def test_perf_stream_compaction(benchmark, records):
-    def compact_all():
-        compactor = StreamCompactor(holdoff_s=86400.0)
-        return sum(1 for _ in compactor.compact(records))
-
-    kept = benchmark.pedantic(compact_all, rounds=3, iterations=1)
-    assert 0 < kept <= len(records)

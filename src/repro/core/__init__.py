@@ -34,8 +34,6 @@ from repro.core.costmodel import (CostParams, PolicyCost, price_result,
 from repro.core.inrow_ml import HierarchicalInRowPredictor, InRowEvaluation
 from repro.core.persistence import load_cordial, save_cordial
 from repro.core.report import render_markdown_report, write_markdown_report
-from repro.core.drift import (DriftReport, FeatureDriftMonitor,
-                              population_stability_index)
 
 __all__ = [
     "FailurePattern",
@@ -65,7 +63,4 @@ __all__ = [
     "load_cordial",
     "render_markdown_report",
     "write_markdown_report",
-    "DriftReport",
-    "FeatureDriftMonitor",
-    "population_stability_index",
 ]

@@ -20,9 +20,10 @@ The serving path is hardened for field telemetry:
   checkpoint resumes mid-stream and emits byte-identical decisions
   versus an uninterrupted run (``repro.core.persistence`` wraps this in
   a versioned file format);
-* **observability** — a shared :class:`MetricsRegistry` counts ingest
-  latency, trigger/re-prediction rates, reorder-buffer depth,
-  dead-letter reasons and sparing-budget pressure.
+* **observability** — a shared :class:`MetricsRegistry` counts
+  trigger/re-prediction rates, reorder-buffer depth, dead-letter reasons
+  and sparing-budget pressure; it holds no wall-clock timings, so two
+  runs that make the same decisions write byte-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -127,7 +128,9 @@ class CordialService:
     the batch replay in ``Cordial.evaluate``: classify at the k-th
     distinct UER row, bank-spare scattered banks, row-spare predicted
     blocks for aggregation banks, optionally re-predict on every further
-    UER.
+    UER.  Re-predictions build their cross-row features from a per-bank
+    :class:`IncrementalFeatureState` folded O(1) per released event, so
+    they never re-walk the bank's history.
 
     Args:
         cordial: a *fitted* Cordial pipeline.
@@ -136,14 +139,6 @@ class CordialService:
             0 keeps the historical release-immediately behaviour.
         metrics: optional shared metrics registry (one is created when
             omitted; collector and ledger record into the same registry).
-        incremental_features: when True (default), re-predictions build
-            their cross-row features from a per-bank
-            :class:`IncrementalFeatureState` folded O(1) per released
-            event instead of re-walking the bank's full history; the
-            decisions are bit-identical either way
-            (``tests/test_feature_equivalence.py``), so False exists only
-            as the recompute reference for equivalence tests and
-            benchmarks.
         obs: optional :class:`~repro.obs.Observability` bundle.  Strictly
             passive — with it attached the decisions and ICR are
             byte-identical to an unobserved run
@@ -154,7 +149,6 @@ class CordialService:
     def __init__(self, cordial: Cordial, spares_per_bank: int = 64,
                  max_skew: float = 0.0,
                  metrics: Optional[MetricsRegistry] = None,
-                 incremental_features: bool = True,
                  obs: Optional[Observability] = None) -> None:
         if not getattr(cordial, "_fitted", False):
             raise ValueError("CordialService requires a fitted Cordial")
@@ -170,7 +164,6 @@ class CordialService:
         self.replay = IsolationReplay(spares_per_bank=spares_per_bank,
                                       metrics=self.metrics)
         self.stats = ServiceStats()
-        self.incremental_features = incremental_features
         self._pattern_of: Dict[tuple, FailurePattern] = {}
         self._uer_rows: Dict[tuple, List[int]] = {}
         self._feature_state: Dict[tuple, IncrementalFeatureState] = {}
@@ -185,7 +178,7 @@ class CordialService:
         """
         span = (self.obs.tracer.span("service.ingest")
                 if self.obs is not None else nullcontext())
-        with span, self.metrics.timer("service.ingest_seconds"):
+        with span:
             self.stats.events_ingested += 1
             decisions: List[Decision] = []
             for released, trigger in self.collector.ingest(record):
@@ -221,9 +214,11 @@ class CordialService:
             return self._on_trigger(trigger)
         state = self._feature_state.get(record.bank_key)
         if state is not None:
-            # Fold first: the state must mirror "history through this
-            # record" before any re-prediction reads it, exactly like the
-            # truncated recompute in ``_history_through``.
+            # Fold first: the state must mirror the bank's history through
+            # this record before any re-prediction reads it.  One ingest
+            # can release a batch of reordered events, so the collector's
+            # buffer may already hold later same-batch events; the fold
+            # never sees them.
             state.update(record)
         if (record.error_type is ErrorType.UER
                 and record.bank_key in self._pattern_of):
@@ -257,9 +252,8 @@ class CordialService:
                              sequence=trigger.history[-1].sequence)]
         self._pattern_of[trigger.bank_key] = pattern
         self._uer_rows[trigger.bank_key] = list(trigger.uer_rows)
-        if self.incremental_features:
-            self._feature_state[trigger.bank_key] = (
-                IncrementalFeatureState.from_history(trigger.history))
+        self._feature_state[trigger.bank_key] = (
+            IncrementalFeatureState.from_history(trigger.history))
         # extract + predict_from_features is exactly what predict() does
         # internally; splitting it here hands the audit trail the very
         # feature matrix the model scored.
@@ -296,15 +290,10 @@ class CordialService:
             self.obs.journal.reprediction(record.bank_key, record.timestamp,
                                           record.row)
         predictor = self.cordial.predictor
-        if self.incremental_features:
-            # O(1)-per-event fold already happened in _process; build the
-            # block features from the running aggregates instead of
-            # re-walking the bank history.
-            agg = self._feature_state[record.bank_key].aggregates()
-            X = predictor.featurizer.extract_from_aggregates(agg, record.row)
-        else:
-            history = self._history_through(record)
-            X = predictor.featurizer.extract_blocks(history, record.row)
+        # The fold already happened in _process; build the block features
+        # from the running aggregates.
+        agg = self._feature_state[record.bank_key].aggregates()
+        X = predictor.featurizer.extract_from_aggregates(agg, record.row)
         prediction = predictor.predict_from_features(X, record.row)
         rows = tuple(int(r) for r in prediction.rows_to_isolate())
         budget_before = (self.replay.row_ctrl.remaining(record.bank_key)
@@ -361,21 +350,6 @@ class CordialService:
             self._explainer = BlockExplainer(
                 self.cordial.predictor, baseline=np.zeros(n))
         return self._explainer
-
-    def _history_through(self, record: ErrorRecord) -> tuple:
-        """The bank's history up to and including ``record``.
-
-        One collector ingest can release a *batch* of reordered events,
-        all already applied to the bank buffers by the time the service
-        processes the first of them.  Re-predicting from the full buffer
-        would leak later same-batch events into the features; truncating
-        at the record keeps decisions identical to the sorted stream.
-        """
-        history = self.collector.bank_history(record.bank_key)
-        for index in range(len(history) - 1, -1, -1):
-            if history[index] is record:
-                return history[:index + 1]
-        return history
 
     # -- queries ------------------------------------------------------------------
     def is_row_isolated(self, bank_key: tuple, row: int,
@@ -468,21 +442,11 @@ class CordialService:
                       for bank, value in state["pattern_of"]}
         uer_rows = {tuple(bank): list(rows)
                     for bank, rows in state["uer_rows"]}
-        feature_state: Dict[tuple, IncrementalFeatureState] = {}
-        if self.incremental_features:
-            # Version-2 checkpoints carry the folded state; for version-1
-            # documents (or a snapshot taken with the recompute path) the
-            # state is rebuilt from the collector's released histories,
-            # which are identical to a fold over the same events.
-            saved = {tuple(bank): folded
-                     for bank, folded in state.get("feature_state", [])}
-            for bank in pattern_of:
-                folded = saved.get(bank)
-                feature_state[bank] = (
-                    IncrementalFeatureState.from_dict(folded)
-                    if folded is not None
-                    else IncrementalFeatureState.from_history(
-                        collector.bank_history(bank)))
+        feature_state = {tuple(bank): IncrementalFeatureState.from_dict(folded)
+                         for bank, folded in state["feature_state"]}
+        if feature_state.keys() != pattern_of.keys():
+            # Every row-spared bank re-predicts from its folded state.
+            raise ValueError("feature_state banks do not match pattern_of")
         # Dry-run the metrics document against a scratch registry before
         # touching the shared one.
         MetricsRegistry().restore(state["metrics"])

@@ -33,14 +33,13 @@ PIPELINE_VERSION = 1
 
 CHECKPOINT_FORMAT = "cordial-service-checkpoint"
 #: Version 2 adds the per-bank incremental feature state
-#: (``state["feature_state"]``); version-1 documents are still loadable —
-#: the state is rebuilt from the collector's released bank histories.
-#: Version 3 adds the *optional* observability slice (``state["obs"]``,
-#: the decision audit trail) — optional because unobserved services omit
-#: it, so a version-3 checkpoint without the key is legitimate, not
-#: truncated.
+#: (``state["feature_state"]``), which re-predictions read; version-1
+#: documents lack it and are rejected as unsupported.  Version 3 adds
+#: the *optional* observability slice (``state["obs"]``, the decision
+#: audit trail) — optional because unobserved services omit it, so a
+#: version-3 checkpoint without the key is legitimate, not truncated.
 CHECKPOINT_VERSION = 3
-SUPPORTED_CHECKPOINT_VERSIONS = (1, 2, 3)
+SUPPORTED_CHECKPOINT_VERSIONS = (2, 3)
 
 
 class CheckpointCorruptionError(ModelPersistenceError):
@@ -200,12 +199,9 @@ def service_from_document(document: dict,
     try:
         cordial = pipeline_from_document(document["pipeline"])
         state = document["state"]
-        if version >= 2 and "feature_state" not in state:
-            # Version-1 documents legitimately lack the folded feature
-            # state (it is rebuilt from the collector histories); a
-            # version-2 document without it has lost a key.
+        if "feature_state" not in state:
             raise CheckpointCorruptionError(
-                "version-2 checkpoint is missing its feature_state "
+                "checkpoint is missing its feature_state "
                 "(truncated or key-dropped document)")
         service = CordialService(cordial,
                                  spares_per_bank=int(state["spares_per_bank"]),

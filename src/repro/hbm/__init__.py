@@ -3,23 +3,19 @@
 This package provides the hardware substrate the paper's prediction method
 operates on: the full device hierarchy (node -> NPU -> HBM -> SID -> channel
 -> pseudo-channel -> bank group -> bank -> row/column), the ECC error model
-that turns raw bit faults into CE/UEO/UER events, the patrol scrubber, and
-the sparing (isolation) mechanisms whose coverage Cordial is evaluated on.
+that turns raw bit faults into CE/UEO/UER events, and the sparing
+(isolation) mechanisms whose coverage Cordial is evaluated on.
 """
 
 from repro.hbm.geometry import HBMGeometry, FleetGeometry
 from repro.hbm.address import DeviceAddress, MicroLevel
 from repro.hbm.ecc import ECCConfig, ECCModel, ECCOutcome
-from repro.hbm.bank import BankState
-from repro.hbm.device import HBMDevice, NPUState, FleetState
 from repro.hbm.sparing import (
     RowSparingController,
     BankSparingController,
     PageOfflineManager,
     SparingExhaustedError,
 )
-from repro.hbm.scrub import PatrolScrubber
-from repro.hbm.repair import PPRManager, PPRPolicy, RepairRecord, RepairState
 from repro.hbm.addressmap import AddressLayout, AddressMapper, default_hbm2e_mapper
 
 __all__ = [
@@ -30,19 +26,10 @@ __all__ = [
     "ECCConfig",
     "ECCModel",
     "ECCOutcome",
-    "BankState",
-    "HBMDevice",
-    "NPUState",
-    "FleetState",
     "RowSparingController",
     "BankSparingController",
     "PageOfflineManager",
     "SparingExhaustedError",
-    "PatrolScrubber",
-    "PPRManager",
-    "PPRPolicy",
-    "RepairRecord",
-    "RepairState",
     "AddressLayout",
     "AddressMapper",
     "default_hbm2e_mapper",

@@ -44,8 +44,6 @@ from repro.ml.parallel import resolve_n_jobs
 from repro.ml.persist import ModelPersistenceError, dump_model, load_model
 from repro.ml.ranking import (best_f1_threshold, pr_auc,
                               precision_recall_curve, roc_auc)
-from repro.ml.importance import (grouped_permutation_importance,
-                                 permutation_importance)
 from repro.ml.tuning import GridSearchResult, grid_search
 
 __all__ = [
@@ -82,8 +80,6 @@ __all__ = [
     "pr_auc",
     "precision_recall_curve",
     "best_f1_threshold",
-    "permutation_importance",
-    "grouped_permutation_importance",
     "GridSearchResult",
     "grid_search",
 ]

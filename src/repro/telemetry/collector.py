@@ -287,11 +287,6 @@ class BMCCollector:
                 yield trigger
 
     # -- queries -------------------------------------------------------------
-    def bank_history(self, bank_key: tuple) -> Tuple[ErrorRecord, ...]:
-        """Events *released* so far for ``bank_key`` (time order)."""
-        buffer = self._banks.get(bank_key)
-        return tuple(buffer.events) if buffer else ()
-
     @property
     def triggered_banks(self) -> List[tuple]:
         """Banks whose trigger has fired, sorted for determinism."""

@@ -141,6 +141,17 @@ class TestTamperedCheckpointsAreRejected:
         with pytest.raises(CheckpointCorruptionError, match="feature_state"):
             service_from_document(document)
 
+    def test_feature_state_missing_a_bank_is_corrupt(self, checkpoint):
+        """Every row-spared bank re-predicts from its folded state, so a
+        document that lost one bank's entry is refused at load time."""
+        with open(checkpoint, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert document["state"]["pattern_of"]
+        document["state"]["feature_state"].pop()
+        from repro.core.persistence import service_from_document
+        with pytest.raises(CheckpointCorruptionError, match="feature_state"):
+            service_from_document(document)
+
 
 class TestFailedRestoreIsTransactional:
     def test_live_service_untouched_by_corrupt_state(self, cordial,

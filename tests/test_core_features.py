@@ -30,14 +30,14 @@ def history_with_three_uers():
 class TestBankPatternFeaturizer:
     def test_vector_length_matches_names(self):
         featurizer = BankPatternFeaturizer()
-        vector = featurizer.extract(history_with_three_uers())
+        vector = featurizer.extract_many([history_with_three_uers()])[0]
         assert vector.shape == (featurizer.n_features,)
         assert len(featurizer.feature_names()) == featurizer.n_features
 
     def test_named_values_hand_checked(self):
         featurizer = BankPatternFeaturizer()
         names = featurizer.feature_names()
-        vector = featurizer.extract(history_with_three_uers())
+        vector = featurizer.extract_many([history_with_three_uers()])[0]
         get = lambda n: vector[names.index(n)]
         assert get("uer_row_min") == 110
         assert get("uer_row_max") == 190
@@ -58,14 +58,14 @@ class TestBankPatternFeaturizer:
         names = featurizer.feature_names()
         history = [rec(i, 10.0 * (i + 1), 100 + i, ErrorType.UER)
                    for i in range(3)]
-        vector = featurizer.extract(history)
+        vector = featurizer.extract_many([history])[0]
         assert vector[names.index("ce_row_min")] == MISSING
         assert vector[names.index("ce_near_uer_min")] == MISSING
         assert vector[names.index("ce_before_first_uer")] == 0
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            BankPatternFeaturizer().extract([])
+            BankPatternFeaturizer().extract_many([[]])
 
     def test_extract_many_stacks(self):
         featurizer = BankPatternFeaturizer()
@@ -78,7 +78,8 @@ class TestBankPatternFeaturizer:
         not a fabricated zero."""
         featurizer = BankPatternFeaturizer()
         names = featurizer.feature_names()
-        vector = featurizer.extract([rec(0, 10.0, 100, ErrorType.UER)])
+        vector = featurizer.extract_many(
+            [[rec(0, 10.0, 100, ErrorType.UER)]])[0]
         get = lambda n: vector[names.index(n)]
         assert get("trigger_to_last_error") == MISSING
         for kind in ("ce", "ueo", "uer"):
@@ -97,7 +98,7 @@ class TestBankPatternFeaturizer:
         names = featurizer.feature_names()
         history = [rec(i, 10.0 * (i + 1), 100, ErrorType.UER)
                    for i in range(3)]  # three UERs, one distinct row
-        vector = featurizer.extract(history)
+        vector = featurizer.extract_many([history])[0]
         get = lambda n: vector[names.index(n)]
         assert get("uer_span") == MISSING
         assert get("uer_gap_small") == MISSING
@@ -112,7 +113,7 @@ class TestBankPatternFeaturizer:
         names = featurizer.feature_names()
         history = [rec(0, 10.0, 100, ErrorType.UER),
                    rec(1, 20.0, 150, ErrorType.UER)]
-        vector = featurizer.extract(history)
+        vector = featurizer.extract_many([history])[0]
         get = lambda n: vector[names.index(n)]
         assert get("uer_gap_small") == 50
         assert get("uer_gap_large") == 50
@@ -128,7 +129,7 @@ class TestBankPatternFeaturizer:
                    rec(1, 20.0, 150, ErrorType.UER),
                    rec(2, 30.0, 100, ErrorType.UER),
                    rec(3, 40.0, 150, ErrorType.UER)]
-        vector = featurizer.extract(history)
+        vector = featurizer.extract_many([history])[0]
         get = lambda n: vector[names.index(n)]
         assert get("uer_gap_ratio") == 50.0 / 51.0  # two-row formula
         assert get("uer_span") == 50
@@ -139,7 +140,7 @@ class TestBankPatternFeaturizer:
         names = featurizer.feature_names()
         history = [rec(i, 10.0 * (i + 1), 100 + 10 * i, ErrorType.UER)
                    for i in range(4)]
-        vector = featurizer.extract(history)
+        vector = featurizer.extract_many([history])[0]
         get = lambda n: vector[names.index(n)]
         assert get("ce_total") == 0
         assert get("ueo_total") == 0

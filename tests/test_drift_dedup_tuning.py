@@ -1,206 +1,10 @@
-"""Tests for drift monitoring, stream compaction and grid search."""
+"""Tests for grid search."""
 
 import numpy as np
 import pytest
 
-from repro.core.drift import (PSI_RETRAIN, PSI_STABLE, FeatureDriftMonitor,
-                              population_stability_index)
 from repro.ml.tuning import grid_search
 from repro.ml.tree import DecisionTreeClassifier
-from repro.telemetry.dedup import StreamCompactor, compact_records
-from repro.hbm.address import DeviceAddress
-from repro.telemetry.events import ErrorRecord, ErrorType
-
-
-def rec(seq, t, row=5, column=0, error_type=ErrorType.CE):
-    address = DeviceAddress(node=0, npu=0, hbm=0, sid=0, channel=0,
-                            pseudo_channel=0, bank_group=0, bank=0,
-                            row=row, column=column)
-    return ErrorRecord(timestamp=t, sequence=seq, address=address,
-                       error_type=error_type)
-
-
-class TestPSI:
-    def test_identical_distributions_near_zero(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=5000)
-        b = rng.normal(size=5000)
-        assert population_stability_index(a, b) < 0.02
-
-    def test_shifted_distribution_flags(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(0, 1, size=5000)
-        b = rng.normal(2, 1, size=5000)
-        assert population_stability_index(a, b) > PSI_RETRAIN
-
-    def test_small_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            population_stability_index(np.ones(3), np.ones(5), n_bins=10)
-        with pytest.raises(ValueError):
-            population_stability_index(np.arange(20.0), np.array([]))
-
-    def test_constant_feature_stable(self):
-        a = np.zeros(100)
-        b = np.zeros(30)
-        assert population_stability_index(a, b) < 0.02
-
-
-class TestDriftMonitor:
-    def _monitor(self):
-        rng = np.random.default_rng(2)
-        reference = rng.normal(size=(500, 3))
-        return FeatureDriftMonitor(reference, ["a", "b", "c"])
-
-    def test_stable_on_same_distribution(self):
-        monitor = self._monitor()
-        rng = np.random.default_rng(3)
-        report = monitor.score(rng.normal(size=(300, 3)))
-        assert report.status == "stable"
-        assert report.drifting_features() == []
-
-    def test_detects_single_feature_shift(self):
-        monitor = self._monitor()
-        rng = np.random.default_rng(4)
-        live = rng.normal(size=(300, 3))
-        live[:, 1] += 3.0
-        report = monitor.score(live)
-        assert report.worst_feature == "b"
-        assert report.status == "retrain"
-        assert report.drifting_features() == ["b"]
-        assert "PSI" in report.format()
-
-    def test_scenario_shift_is_visible(self, small_dataset):
-        """The sudden-heavy scenario shifts the pattern features enough
-        for the monitor to notice."""
-        from repro.core.features import BankPatternFeaturizer
-        from repro.core.pipeline import collect_triggers
-        from repro.datasets import generate_fleet_dataset
-        from repro.faults.scenarios import SCENARIOS
-        featurizer = BankPatternFeaturizer()
-        reference = [t.history for t in collect_triggers(
-            small_dataset, small_dataset.uer_banks)]
-        monitor = FeatureDriftMonitor.from_triggers(featurizer, reference)
-        shifted = generate_fleet_dataset(SCENARIOS["ce-storm"](0.12),
-                                         seed=43)
-        live = [t.history for t in collect_triggers(shifted,
-                                                    shifted.uer_banks)]
-        report = monitor.score(featurizer.extract_many(live))
-        assert report.status in ("drifting", "retrain")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FeatureDriftMonitor(np.zeros((5, 2)), ["a"])
-        monitor = self._monitor()
-        with pytest.raises(ValueError):
-            monitor.score(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            monitor.score(np.zeros((5, 99)))
-
-
-class TestStreamCompactor:
-    def test_suppresses_repeats_within_holdoff(self):
-        events = [rec(0, 0.0), rec(1, 10.0), rec(2, 5000.0)]
-        kept, stats = compact_records(events, holdoff_s=3600.0)
-        assert [r.sequence for r in kept] == [0, 2]
-        assert stats.suppressed == 1
-        assert stats.suppressed_by_type == {"CE": 1}
-
-    def test_different_cells_not_suppressed(self):
-        events = [rec(0, 0.0, row=1), rec(1, 1.0, row=2),
-                  rec(2, 2.0, row=1, column=3)]
-        kept, stats = compact_records(events)
-        assert len(kept) == 3
-
-    def test_uer_never_dropped(self):
-        events = [rec(0, 0.0, error_type=ErrorType.UER),
-                  rec(1, 1.0, error_type=ErrorType.UER)]
-        kept, _ = compact_records(events)
-        assert len(kept) == 2
-
-    def test_uer_droppable_when_configured(self):
-        compactor = StreamCompactor(holdoff_s=100.0, never_drop_uer=False)
-        kept = list(compactor.compact([
-            rec(0, 0.0, error_type=ErrorType.UER),
-            rec(1, 1.0, error_type=ErrorType.UER)]))
-        assert len(kept) == 1
-
-    def test_first_events_always_survive(self, small_dataset):
-        """Compaction must not change distinct-row or first-event
-        analyses."""
-        from repro.telemetry.store import ErrorStore
-        kept, stats = compact_records(small_dataset.store,
-                                      holdoff_s=7 * 86400.0)
-        compacted = ErrorStore(kept)
-        for bank in small_dataset.uer_banks[:30]:
-            original = [r.row for r in
-                        small_dataset.store.uer_rows_of_bank(bank)]
-            after = [r.row for r in compacted.uer_rows_of_bank(bank)]
-            assert original == after
-        assert stats.ratio < 0.9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StreamCompactor(holdoff_s=-1)
-
-    def test_holdoff_boundary_emits(self):
-        """A repeat exactly holdoff_s after the last emission is kept:
-        suppression requires strictly less than the holdoff."""
-        compactor = StreamCompactor(holdoff_s=100.0)
-        assert compactor.offer(rec(0, 0.0))
-        assert not compactor.offer(rec(1, 99.0))     # strictly inside
-        assert compactor.offer(rec(2, 100.0))        # exactly on it
-        assert compactor.stats.suppressed == 1
-
-    def test_suppression_table_is_bounded(self):
-        """Long streams of distinct short-lived cells must not grow the
-        table without bound: entries older than the holdoff behind the
-        stream frontier are evicted."""
-        compactor = StreamCompactor(holdoff_s=10.0)
-        n = 8 * StreamCompactor.MIN_SWEEP_SIZE
-        for i in range(n):
-            compactor.offer(rec(i, float(i), row=i % 32768,
-                                column=i // 32768))
-        assert compactor.stats.emitted == n
-        assert compactor.evicted > 0
-        # At ~1 distinct cell per second only ~holdoff_s entries are
-        # live; the table stays within a small multiple of that.
-        assert compactor.live_keys <= 2 * StreamCompactor.MIN_SWEEP_SIZE
-        assert compactor.live_keys + compactor.evicted == n
-
-    def test_eviction_never_changes_decisions(self):
-        """Evicted entries are exactly those that can never suppress
-        again, so a bounded compactor emits the same stream as an
-        unbounded one."""
-        rng = np.random.default_rng(17)
-        events = [rec(i, float(t), row=int(r))
-                  for i, (t, r) in enumerate(
-                      zip(np.sort(rng.uniform(0, 5000.0, size=6000)),
-                          rng.integers(0, 3000, size=6000)))]
-
-        class Unbounded(StreamCompactor):
-            def _sweep(self):
-                self._sweep_at = float("inf")
-
-        bounded = StreamCompactor(holdoff_s=50.0)
-        reference = Unbounded(holdoff_s=50.0)
-        kept_bounded = [r.sequence for r in bounded.compact(events)]
-        kept_reference = [r.sequence for r in reference.compact(events)]
-        assert kept_bounded == kept_reference
-        assert bounded.evicted > 0
-        assert bounded.live_keys < reference.live_keys
-
-    def test_metrics_exported(self):
-        from repro.telemetry.metrics import MetricsRegistry
-        metrics = MetricsRegistry()
-        compactor = StreamCompactor(holdoff_s=10.0, metrics=metrics)
-        for i in range(2 * StreamCompactor.MIN_SWEEP_SIZE):
-            compactor.offer(rec(i, float(i), row=i % 32768))
-        counters = metrics.as_dict()["counters"]
-        gauges = metrics.as_dict()["gauges"]
-        assert counters["compactor.evicted_keys"] == compactor.evicted
-        assert gauges["compactor.live_keys"]["value"] == \
-            compactor.live_keys
-        assert compactor.evicted > 0
 
 
 class TestGridSearch:

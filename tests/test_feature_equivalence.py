@@ -2,13 +2,12 @@
 
 The vectorized batch path (``extract_many`` / ``extract_blocks``) and the
 incremental online path (:class:`IncrementalFeatureState`) are performance
-rewrites; they must be *bit-identical* to the original scalar extraction,
-not merely close.  Every assertion here is exact equality on float64
-arrays — no tolerances — over real generated-fleet histories, including
-the degenerate ones (single event, all-UER, duplicate UER rows).
+rewrites; they must be *bit-identical* to the scalar reference walks in
+``tests/reference_features.py``, not merely close.  Every assertion here
+is exact equality on float64 arrays — no tolerances — over real
+generated-fleet histories, including the degenerate ones (single event,
+all-UER, duplicate UER rows).
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -18,12 +17,10 @@ from repro.core.features import (BankPatternFeaturizer, CrossRowFeaturizer,
 from repro.core.incremental import IncrementalFeatureState
 from repro.core.online import CordialService
 from repro.core.pipeline import Cordial, collect_snapshots, collect_triggers
-from repro.experiments.serve import serve_stream
-from repro.telemetry.events import ErrorType
-
-
-def decisions_json(decisions):
-    return json.dumps([d.to_obj() for d in decisions], sort_keys=True)
+from repro.experiments.serve import bounded_shuffle, serve_stream
+from repro.obs import Observability
+from tests.reference_features import (block_features, pattern_features,
+                                      pattern_features_packed)
 
 
 @pytest.fixture(scope="module")
@@ -36,22 +33,26 @@ class TestBatchEquivalence:
         featurizer = BankPatternFeaturizer()
         histories = [t.history for t in triggers]
         batch = featurizer.extract_many(histories)
-        scalar = np.vstack([featurizer.extract(h) for h in histories])
+        scalar = np.vstack([pattern_features(h) for h in histories])
         assert batch.dtype == scalar.dtype == np.float64
         assert np.array_equal(batch, scalar)  # bitwise, no tolerance
 
     def test_extract_packed_matches_scalar_per_history(self, triggers):
+        """The two references agree, and so does a one-history batch."""
         featurizer = BankPatternFeaturizer()
         for trigger in triggers:
-            packed = featurizer.extract_packed(*pack_history(trigger.history))
-            assert np.array_equal(packed, featurizer.extract(trigger.history))
+            scalar = pattern_features(trigger.history)
+            packed = pattern_features_packed(*pack_history(trigger.history))
+            assert np.array_equal(packed, scalar)
+            assert np.array_equal(
+                featurizer.extract_many([trigger.history])[0], scalar)
 
     def test_extract_blocks_matches_scalar(self, triggers):
         featurizer = CrossRowFeaturizer()
         for trigger in triggers:
             last = trigger.uer_rows[-1]
             fast = featurizer.extract_blocks(trigger.history, last)
-            slow = featurizer.extract_blocks_scalar(trigger.history, last)
+            slow = block_features(featurizer, trigger.history, last)
             assert np.array_equal(fast, slow)
 
     def test_extract_many_rejects_empty_batch(self):
@@ -81,8 +82,7 @@ class TestIncrementalEquivalence:
                 last = snapshot.uer_rows[-1]
                 fast = featurizer.extract_from_aggregates(
                     state.aggregates(), last)
-                slow = featurizer.extract_blocks_scalar(
-                    snapshot.history, last)
+                slow = block_features(featurizer, snapshot.history, last)
                 assert np.array_equal(fast, slow)
                 checked += 1
         assert checked > 50  # the fleet really exercised the path
@@ -118,21 +118,35 @@ class TestServiceEquivalence:
     def test_incremental_service_matches_recompute(self, cordial,
                                                    small_dataset,
                                                    bank_split):
-        """Identical decisions and ICR whether the service folds features
-        incrementally or recomputes them from the full history."""
+        """Every re-prediction scores exactly the block features a full
+        recompute over the bank's time-sorted history through the causing
+        UER yields — including when one ingest releases a batch of
+        reordered events, whose later members the fold must not see."""
         _, test = bank_split
         test_set = set(test)
         stream = [r for r in small_dataset.store if r.bank_key in test_set]
-        truth = {bank: small_dataset.bank_truth[bank].uer_row_sequence
-                 for bank in test
-                 if small_dataset.bank_truth[bank].uer_row_sequence}
+        obs = Observability()
+        service = CordialService(cordial, max_skew=600.0, obs=obs)
+        _, decisions = serve_stream(
+            service, bounded_shuffle(stream, 600.0, seed=0))
 
-        fast = CordialService(cordial, incremental_features=True)
-        slow = CordialService(cordial, incremental_features=False)
-        _, got = serve_stream(fast, stream)
-        _, expect = serve_stream(slow, stream)
-
-        assert decisions_json(got) == decisions_json(expect)
-        assert fast.coverage(truth) == slow.coverage(truth)
-        assert fast.replay.result(truth) == slow.replay.result(truth)
-        assert any(r.error_type is ErrorType.UER for r in stream)
+        by_bank = {}
+        for record in sorted(stream,
+                             key=lambda r: (r.timestamp, r.sequence)):
+            by_bank.setdefault(record.bank_key, []).append(record)
+        featurizer = cordial.predictor.featurizer
+        records = obs.audit.records
+        assert len(records) == len(decisions)
+        checked = 0
+        for audit, decision in zip(records, decisions):
+            assert tuple(audit["bank_key"]) == decision.bank_key
+            if audit["kind"] != "reprediction":
+                continue
+            history = by_bank[decision.bank_key]
+            end = next(i for i, r in enumerate(history)
+                       if r.sequence == decision.sequence)
+            cause = history[end]
+            expect = featurizer.extract_blocks(history[:end + 1], cause.row)
+            assert np.array_equal(np.asarray(audit["features"]), expect)
+            checked += 1
+        assert checked > 0  # the stream really exercised re-predictions

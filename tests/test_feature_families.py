@@ -48,8 +48,8 @@ class TestFamilyMaskedFeaturizer:
     def test_subset_columns_match_base(self):
         base = BankPatternFeaturizer()
         masked = FamilyMaskedFeaturizer(["spatial"], base=base)
-        full = base.extract(history())
-        subset = masked.extract(history())
+        full = base.extract_many([history()])[0]
+        subset = masked.extract_many([history()])[0]
         names = base.feature_names()
         expected = [full[i] for i, name in enumerate(names)
                     if BankPatternFeaturizer.family_of(name) == "spatial"]

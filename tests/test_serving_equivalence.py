@@ -19,6 +19,7 @@ from repro.core.persistence import (load_service_checkpoint,
                                     pipeline_to_document,
                                     save_service_checkpoint)
 from repro.core.pipeline import Cordial
+from repro.ml.persist import ModelPersistenceError
 from repro.experiments import runner
 from repro.experiments.serve import bounded_shuffle, build_report, serve_stream
 from repro.hbm.address import DeviceAddress
@@ -139,18 +140,13 @@ class TestCheckpointRestore:
         assert "pipeline" in document and "state" in document
         assert "feature_state" in document["state"]
 
-    def test_version1_checkpoint_still_loads(self, cordial, test_stream,
-                                             truth, tmp_path):
-        """A v1 document (no feature_state) restores and resumes exactly:
-        the incremental state is rebuilt from the collector histories."""
-        baseline = CordialService(cordial)
-        _, expect = serve_stream(baseline, test_stream)
-
-        half = len(test_stream) // 2
+    def test_version1_checkpoint_is_rejected(self, cordial, test_stream,
+                                             tmp_path):
+        """A v1 document carries no folded feature_state, which every
+        re-prediction reads: it is refused as an unsupported version."""
         service = CordialService(cordial)
-        decisions = []
-        for record in test_stream[:half]:
-            decisions.extend(service.ingest(record))
+        for record in test_stream[:len(test_stream) // 2]:
+            service.ingest(record)
         document = {
             "format": "cordial-service-checkpoint",
             "version": 1,
@@ -160,12 +156,23 @@ class TestCheckpointRestore:
         }
         path = tmp_path / "v1.ckpt.json"
         path.write_text(json.dumps(document))
-        restored = load_service_checkpoint(str(path))
-        for record in test_stream[half:]:
-            decisions.extend(restored.ingest(record))
-        decisions.extend(restored.flush())
-        assert decisions_json(decisions) == decisions_json(expect)
-        assert restored.coverage(truth) == baseline.coverage(truth)
+        with pytest.raises(ModelPersistenceError,
+                           match="unsupported checkpoint version"):
+            load_service_checkpoint(str(path))
+
+    def test_identical_runs_write_identical_checkpoints(self, cordial,
+                                                        test_stream,
+                                                        tmp_path):
+        """Checkpoints hold no wall-clock readings: two runs over the same
+        stream write the same bytes."""
+        contents = []
+        for run in range(2):
+            service = CordialService(cordial, max_skew=120.0)
+            serve_stream(service, test_stream)
+            path = tmp_path / f"run{run}.ckpt.json"
+            save_service_checkpoint(service, str(path))
+            contents.append(path.read_bytes())
+        assert contents[0] == contents[1]
 
 
 class TestServeReplayReport:
