@@ -2,9 +2,9 @@
 
 Measures what the harness itself costs on top of a plain serve: one
 clean serve of the benchmark test split, the same stream through the
-full operator pipeline, and a faulted serve with kill/restore plus
-tamper trials.  Writes a ``BENCH_chaos.json`` artifact so CI can track
-the campaign's per-run cost over time.
+full operator pipeline, and a faulted serve on a one-shard fleet engine
+with kill/restore plus tamper trials.  Writes a ``BENCH_chaos.json``
+artifact so CI can track the campaign's per-run cost over time.
 
 The harness is test scaffolding, not a production path, so the bound is
 generous — but it must stay within a small multiple of the serve it
@@ -21,10 +21,11 @@ import time
 
 import numpy as np
 
-from repro.chaos import default_plan, serve_with_faults
+from repro.chaos import default_plan, serve_engine_with_faults
 from repro.chaos.campaign import perturb_stream
 from repro.core.online import CordialService
-from repro.experiments.serve import serve_stream
+from repro.serving import ShardedCordialEngine
+from tests.serve_helpers import serve_all
 
 PERF_OUTPUT = os.environ.get("REPRO_PERF_CHAOS_OUTPUT", "BENCH_chaos.json")
 
@@ -43,7 +44,7 @@ def test_chaos_harness_overhead(context, tmp_path):
 
     clean = CordialService(cordial, max_skew=MAX_SKEW)
     start = time.perf_counter()
-    serve_stream(clean, stream)
+    serve_all(clean, stream)
     t_clean = time.perf_counter() - start
 
     root = np.random.SeedSequence(0)
@@ -58,10 +59,14 @@ def test_chaos_harness_overhead(context, tmp_path):
     kill_points = sorted(int(k) for k in fault_rng.choice(
         np.arange(1, len(perturbed)), size=2, replace=False))
     start = time.perf_counter()
-    outcome = serve_with_faults(
-        CordialService(cordial, max_skew=MAX_SKEW), perturbed, kill_points,
-        str(tmp_path / "bench-chaos.ckpt"), fault_rng,
-        tamper_modes=plan.tamper_modes)
+    engine = ShardedCordialEngine(cordial, 1, max_skew=MAX_SKEW)
+    try:
+        engine, outcome = serve_engine_with_faults(
+            engine, perturbed, kill_points,
+            str(tmp_path / "bench-chaos.fleet"), fault_rng,
+            tamper_modes=plan.tamper_modes)
+    finally:
+        engine.close()
     t_faulted = time.perf_counter() - start
 
     record = {

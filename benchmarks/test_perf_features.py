@@ -35,8 +35,8 @@ from repro.core.features import BankPatternFeaturizer, CrossRowFeaturizer
 from repro.core.incremental import IncrementalFeatureState
 from repro.core.online import CordialService
 from repro.core.pipeline import collect_snapshots, collect_triggers
-from repro.experiments.serve import serve_stream
 from tests.reference_features import block_features, pattern_features
+from tests.serve_helpers import serve_all
 
 from conftest import BENCH_SCALE
 
@@ -121,7 +121,7 @@ def test_feature_extraction_speedups(context):
     stream = [r for r in dataset.store if r.bank_key in test_set]
 
     start = time.perf_counter()
-    serve_stream(CordialService(cordial), stream)
+    serve_all(CordialService(cordial), stream)
     t_serve = time.perf_counter() - start
 
     record = {

@@ -19,8 +19,8 @@ import os
 import time
 
 from repro.core.online import CordialService
-from repro.experiments.serve import serve_stream
 from repro.obs import Observability
+from tests.serve_helpers import serve_all
 
 PERF_OUTPUT = os.environ.get("REPRO_PERF_OBS_OUTPUT", "BENCH_obs.json")
 
@@ -43,14 +43,14 @@ def test_obs_overhead_is_bounded(context, tmp_path):
     def serve_bare():
         service = CordialService(cordial)
         start = time.perf_counter()
-        _, decisions = serve_stream(service, stream)
+        decisions = serve_all(service, stream)
         return time.perf_counter() - start, decisions
 
     def serve_observed(run_index):
         obs = Observability.create(tmp_path / f"obs-{run_index}")
         service = CordialService(cordial, obs=obs)
         start = time.perf_counter()
-        _, decisions = serve_stream(service, stream)
+        decisions = serve_all(service, stream)
         elapsed = time.perf_counter() - start
         obs.journal.close()
         return elapsed, decisions, obs

@@ -20,7 +20,8 @@ import time
 from repro.core.online import CordialService
 from repro.core.persistence import (load_service_checkpoint,
                                     save_service_checkpoint)
-from repro.experiments.serve import bounded_shuffle, serve_stream
+from repro.experiments.serve import bounded_shuffle
+from tests.serve_helpers import serve_all
 
 PERF_OUTPUT = os.environ.get("REPRO_PERF_SERVING_OUTPUT",
                              "BENCH_serving.json")
@@ -38,13 +39,13 @@ def test_serving_throughput_and_checkpoint_latency(context, tmp_path):
 
     in_order = CordialService(cordial)
     start = time.perf_counter()
-    _, decisions = serve_stream(in_order, stream)
+    decisions = serve_all(in_order, stream)
     t_in_order = time.perf_counter() - start
 
     shuffled = bounded_shuffle(stream, MAX_SKEW, seed=1)
     reordered = CordialService(cordial, max_skew=MAX_SKEW)
     start = time.perf_counter()
-    _, reordered_decisions = serve_stream(reordered, shuffled)
+    reordered_decisions = serve_all(reordered, shuffled)
     t_reordered = time.perf_counter() - start
 
     path = str(tmp_path / "bench.ckpt.json")

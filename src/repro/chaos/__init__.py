@@ -20,7 +20,7 @@ byte-identical decision logs and reports
 from repro.chaos.campaign import (CampaignConfig, run_campaign,
                                   run_chaos_campaign)
 from repro.chaos.faults import (ServeOutcome, TamperTrial,
-                                serve_with_faults, tamper_checkpoint)
+                                serve_engine_with_faults, tamper_checkpoint)
 from repro.chaos.operators import (OPERATORS, apply_operator,
                                    is_error_record)
 from repro.chaos.oracle import InvariantOracle, InvariantViolation
@@ -40,6 +40,6 @@ __all__ = [
     "is_error_record",
     "run_campaign",
     "run_chaos_campaign",
-    "serve_with_faults",
+    "serve_engine_with_faults",
     "tamper_checkpoint",
 ]

@@ -1,10 +1,12 @@
 """Chaos campaigns: N seeded runs of a plan, each judged by the oracle.
 
-A campaign first serves the *clean* stream once (the oracle's divergence
-baseline), then executes ``runs`` chaos runs.  Each run derives its own
-``SeedSequence`` child, perturbs the stream through the plan's operators
-(one grandchild RNG per operator), serves it with kill/restore faults at
-randomized ingest points, and runs the full invariant battery.
+A campaign first serves the *clean* stream once through one plain
+``CordialService`` (the oracle's divergence baseline), then executes
+``runs`` chaos runs.  Each run derives its own ``SeedSequence`` child,
+perturbs the stream through the plan's operators (one grandchild RNG per
+operator), serves it through a fleet engine (one in-process shard by
+default) with whole-fleet kill/restore faults at randomized ingest
+points, and runs the full invariant battery.
 
 The JSON report is byte-stable: identical (plan, seed, stream, pipeline)
 inputs produce the identical document, decision digests included — the
@@ -17,17 +19,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chaos.faults import ServeOutcome, serve_with_faults
-from repro.chaos.operators import apply_operator
+from repro.chaos.faults import (WORKER_FAULT_MODES, WorkerFault,
+                                serve_engine_with_faults)
+from repro.chaos.operators import apply_operator, plant_poison
 from repro.chaos.oracle import CleanBaseline, InvariantOracle
 from repro.chaos.plan import ChaosPlan
 from repro.core.online import CordialService, Decision
 from repro.core.pipeline import Cordial
+from repro.serving import (ShardedCordialEngine, SupervisorConfig,
+                           serve_stream_sharded)
 from repro.telemetry.events import ErrorRecord
 
 
@@ -62,12 +68,6 @@ def perturb_stream(stream: Sequence[ErrorRecord], plan: ChaosPlan,
     return perturbed, applied
 
 
-def _service_for(cordial: Cordial, plan: ChaosPlan,
-                 obs=None) -> CordialService:
-    return CordialService(cordial, spares_per_bank=plan.spares_per_bank,
-                          max_skew=plan.max_skew, obs=obs)
-
-
 def _summarize(service: CordialService, decisions: Sequence[Decision],
                icr: float) -> dict:
     stats = service.stats
@@ -98,8 +98,6 @@ def _supervision_schedule(plan: ChaosPlan, stream_length: int, shards: int,
     fixed order (poison first), so the schedule is as reproducible as
     the operator streams.
     """
-    from repro.chaos.faults import WORKER_FAULT_MODES, WorkerFault
-
     positions: List[int] = []
     if plan.poison_per_run and stream_length > 1:
         count = min(plan.poison_per_run, stream_length - 1)
@@ -119,20 +117,21 @@ def run_one(cordial: Cordial, stream: Sequence[ErrorRecord],
             truth: Dict[tuple, Sequence[Tuple[float, int]]],
             plan: ChaosPlan, run_seed: np.random.SeedSequence,
             oracle: InvariantOracle, workdir: str, run_index: int,
-            shards: Optional[int] = None, engine_jobs: int = 1) -> dict:
+            shards: int = 1, engine_jobs: int = 1) -> dict:
     """One chaos run: perturb, serve with faults, judge; JSON-ready.
 
-    With ``shards`` the run serves through a
-    :class:`~repro.serving.engine.ShardedCordialEngine` (kill points
-    checkpoint and restart the whole fleet); decisions/ICR/state are
-    bit-identical to the single-service path, so the report layout,
-    digests, and invariant battery are unchanged.  When the plan asks
-    for worker faults or poison records (and ``shards`` is set), the
-    engine runs *supervised*: the stream is additionally disturbed by
-    scheduled worker crashes/hangs/garbage and planted poison records,
-    an undisturbed twin run serves the poison-free twin stream, and the
-    oracle's ``supervision`` check requires the two to end
-    byte-identical (modulo the poison dead-letter ledger).
+    The run serves through a
+    :class:`~repro.serving.engine.ShardedCordialEngine` with ``shards``
+    bank-key shards on ``engine_jobs`` workers; kill points checkpoint
+    and restart the whole fleet.  Decisions/ICR/state are bit-identical
+    for any shard count, so the report layout, digests, and invariant
+    battery do not depend on it.  When the plan asks for worker faults
+    or poison records, the engine runs *supervised*: the stream is
+    additionally disturbed by scheduled worker crashes/hangs/garbage and
+    planted poison records, an undisturbed twin run serves the
+    poison-free twin stream, and the oracle's ``supervision`` check
+    requires the two to end byte-identical (modulo the poison
+    dead-letter ledger).
     """
     children = run_seed.spawn(len(plan.operators) + 2)
     operator_rngs = [np.random.default_rng(c)
@@ -147,91 +146,66 @@ def run_one(cordial: Cordial, stream: Sequence[ErrorRecord],
             np.arange(1, len(perturbed)), size=count, replace=False))
     else:
         kill_points = []
-    supervise = shards is not None and (plan.worker_faults_per_run > 0
-                                        or plan.poison_per_run > 0)
-    supervised_extra: Optional[dict] = None
+    supervise = plan.worker_faults_per_run > 0 or plan.poison_per_run > 0
 
-    if shards is not None:
-        import shutil
+    supervisor_config = None
+    worker_faults: List[Any] = []
+    twin = perturbed
+    planted = 0
+    poison_positions: List[int] = []
+    if supervise:
+        poison_positions, worker_faults = _supervision_schedule(
+            plan, len(perturbed), shards, supervision_rng)
+        perturbed, twin, planted = plant_poison(perturbed, poison_positions)
+        supervisor_config = SupervisorConfig(
+            max_restarts=(2 * planted + len(worker_faults) + 4),
+            batch_timeout=5.0, snapshot_every=8, poison_threshold=2,
+            backoff_base=0.0)
 
-        from repro.chaos.faults import serve_engine_with_faults
-        from repro.serving.engine import ShardedCordialEngine
-
-        supervisor_config = None
-        worker_faults: List[Any] = []
-        twin = perturbed
-        planted = 0
-        poison_positions: List[int] = []
-        if supervise:
-            from repro.chaos.operators import plant_poison
-            from repro.serving.supervisor import SupervisorConfig
-
-            poison_positions, worker_faults = _supervision_schedule(
-                plan, len(perturbed), shards, supervision_rng)
-            perturbed, twin, planted = plant_poison(perturbed,
-                                                    poison_positions)
-            supervisor_config = SupervisorConfig(
-                max_restarts=(2 * planted + len(worker_faults) + 4),
-                batch_timeout=5.0, snapshot_every=8, poison_threshold=2,
-                backoff_base=0.0)
-
-        checkpoint_dir = os.path.join(workdir,
-                                      f"chaos-run-{run_index}.fleet")
-        engine = ShardedCordialEngine(cordial, shards, n_jobs=engine_jobs,
-                                      spares_per_bank=plan.spares_per_bank,
-                                      max_skew=plan.max_skew,
-                                      supervisor=supervisor_config)
-        try:
-            engine, outcome = serve_engine_with_faults(
-                engine, perturbed, kill_points, checkpoint_dir, fault_rng,
-                tamper_modes=plan.tamper_modes,
-                worker_faults=worker_faults)
-        finally:
-            engine.close()
-            shutil.rmtree(checkpoint_dir, ignore_errors=True)
-        checkpoint_path = None
-
-        if supervise:
-            twin_engine = ShardedCordialEngine(
-                cordial, shards, n_jobs=1,
-                spares_per_bank=plan.spares_per_bank,
-                max_skew=plan.max_skew)
-            try:
-                from repro.serving.engine import serve_stream_sharded
-
-                twin_engine, twin_outcome = serve_stream_sharded(
-                    twin_engine, twin)
-            finally:
-                twin_engine.close()
-            twin_icr = twin_outcome.service.coverage(truth)
-            supervised_extra = {
-                "supervised": True,
-                "poison_positions": poison_positions,
-                "poison_planted": planted,
-                "worker_faults": [f.to_obj() for f in worker_faults],
-                "twin_decisions_digest": decisions_digest(
-                    twin_outcome.decisions),
-                "supervision_violations": [
-                    v.to_obj() for v in oracle.check_supervision(
-                        outcome.service.state_dict(),
-                        twin_outcome.service.state_dict(),
-                        outcome.decisions, twin_outcome.decisions,
-                        outcome.service.coverage(truth), twin_icr,
-                        poison_planted=planted)],
-            }
-    else:
-        checkpoint_path = os.path.join(workdir,
-                                       f"chaos-run-{run_index}.ckpt")
-        outcome = serve_with_faults(
-            _service_for(cordial, plan), perturbed, kill_points,
-            checkpoint_path, fault_rng, tamper_modes=plan.tamper_modes)
+    checkpoint_dir = os.path.join(workdir, f"chaos-run-{run_index}.fleet")
+    engine = ShardedCordialEngine(cordial, shards, n_jobs=engine_jobs,
+                                  spares_per_bank=plan.spares_per_bank,
+                                  max_skew=plan.max_skew,
+                                  supervisor=supervisor_config)
+    try:
+        engine, outcome = serve_engine_with_faults(
+            engine, perturbed, kill_points, checkpoint_dir, fault_rng,
+            tamper_modes=plan.tamper_modes, worker_faults=worker_faults)
+    finally:
+        engine.close()
+        shutil.rmtree(checkpoint_dir, ignore_errors=True)
     icr = outcome.service.coverage(truth)
+
+    supervised_extra: Optional[dict] = None
+    if supervise:
+        twin_engine = ShardedCordialEngine(
+            cordial, shards, n_jobs=1,
+            spares_per_bank=plan.spares_per_bank, max_skew=plan.max_skew)
+        try:
+            twin_engine, twin_outcome = serve_stream_sharded(twin_engine,
+                                                             twin)
+        finally:
+            twin_engine.close()
+        supervised_extra = {
+            "supervised": True,
+            "poison_positions": poison_positions,
+            "poison_planted": planted,
+            "worker_faults": [f.to_obj() for f in worker_faults],
+            "twin_decisions_digest": decisions_digest(
+                twin_outcome.decisions),
+            "supervision_violations": [
+                v.to_obj() for v in oracle.check_supervision(
+                    outcome.service.state_dict(),
+                    twin_outcome.service.state_dict(),
+                    outcome.decisions, twin_outcome.decisions,
+                    icr, twin_outcome.service.coverage(truth),
+                    poison_planted=planted)],
+        }
     scratch = os.path.join(workdir, f"chaos-run-{run_index}.oracle.ckpt")
     violation_objs = [v.to_obj()
                       for v in oracle.check_run(outcome, icr, scratch)]
-    for path in (checkpoint_path, scratch):
-        if path is not None and os.path.exists(path):
-            os.remove(path)
+    if os.path.exists(scratch):
+        os.remove(scratch)
     report = {
         "run": run_index,
         "operators": applied,
@@ -253,7 +227,7 @@ def run_campaign(cordial: Cordial, stream: Sequence[ErrorRecord],
                  truth: Dict[tuple, Sequence[Tuple[float, int]]],
                  plan: ChaosPlan, config: CampaignConfig, workdir: str,
                  context: Optional[dict] = None, obs=None,
-                 shards: Optional[int] = None, engine_jobs: int = 1) -> dict:
+                 shards: int = 1, engine_jobs: int = 1) -> dict:
     """Execute a full campaign; returns the byte-stable JSON report.
 
     Args:
@@ -266,13 +240,12 @@ def run_campaign(cordial: Cordial, stream: Sequence[ErrorRecord],
             in the report, so reports are location-independent).
         context: free-form labels merged into the report's config block
             (scale, model name, ...).
-        shards: when given, every chaos run serves through a sharded
-            fleet engine with this many bank-key shards (see
-            :func:`run_one`).  The clean baseline stays single-service —
-            the fleet is bit-identical to it, which is precisely the
-            property the campaign digests then witness.
+        shards: bank-key shards of every chaos run's fleet engine (see
+            :func:`run_one`).  The clean baseline is one plain
+            ``CordialService`` — the fleet is bit-identical to it, which
+            is precisely the property the campaign digests then witness.
         obs: optional :class:`~repro.obs.Observability` bundle, attached
-            to the **clean baseline** serve only.  Per-run services stay
+            to the **clean baseline** serve only.  Per-run engines stay
             unobserved on purpose: the ``drop_key`` tamper operator
             samples the checkpoint's state keys, and an optional ``obs``
             key would give it a target whose loss loads cleanly —
@@ -281,10 +254,13 @@ def run_campaign(cordial: Cordial, stream: Sequence[ErrorRecord],
             and a closing ``campaign`` event; none of it enters the
             report, which stays byte-stable and path-free.
     """
-    from repro.experiments.serve import serve_stream
-
-    clean_service = _service_for(cordial, plan, obs=obs)
-    clean_service, clean_decisions = serve_stream(clean_service, stream)
+    clean_service = CordialService(cordial,
+                                   spares_per_bank=plan.spares_per_bank,
+                                   max_skew=plan.max_skew, obs=obs)
+    clean_decisions: List[Decision] = []
+    for record in stream:
+        clean_decisions.extend(clean_service.ingest(record))
+    clean_decisions.extend(clean_service.flush())
     clean_icr = clean_service.coverage(truth)
     clean = CleanBaseline(decision_count=len(clean_decisions),
                           icr=clean_icr)
@@ -351,7 +327,7 @@ def run_chaos_campaign(scale: float = 0.08, seed: int = 11,
                        jobs: int = 1, max_events: Optional[int] = None,
                        workdir: Optional[str] = None,
                        obs_dir: Optional[str] = None,
-                       shards: Optional[int] = None,
+                       shards: int = 1,
                        engine_jobs: int = 1) -> dict:
     """Generate, train, and run a campaign — the CLI entry's workhorse.
 
@@ -365,12 +341,10 @@ def run_chaos_campaign(scale: float = 0.08, seed: int = 11,
             :func:`run_campaign`) and write the journal/trace/audit
             artifacts into this directory.  The campaign report itself
             is unchanged — it stays byte-stable and path-free.
-        shards: when given, chaos runs serve through the sharded fleet
-            engine (``cordial-repro chaos --shards N``).  Decision
-            digests, summaries, and the campaign digest match the
-            single-service campaign bit for bit; only the tamper-trial
-            entries differ (fleet trials damage shard files *and* the
-            manifest, labelled ``shard:``/``manifest:``).
+        shards: bank-key shards of the chaos runs' fleet engine
+            (``cordial-repro chaos --shards N``).  Decision digests,
+            summaries, and the campaign digest are identical for any
+            value.
     """
     import tempfile
 
@@ -383,9 +357,7 @@ def run_chaos_campaign(scale: float = 0.08, seed: int = 11,
     if max_events is not None:
         stream = stream[:max_events]
     context = {**meta, "scale": scale, "generator_seed": seed,
-               "model_name": model_name}
-    if shards is not None:
-        context["shards"] = shards
+               "model_name": model_name, "shards": shards}
     config = CampaignConfig(runs=runs, seed=campaign_seed)
     obs = None
     if obs_dir is not None:

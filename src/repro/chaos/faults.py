@@ -1,15 +1,18 @@
 """Process-level faults: kill/restore cycles and checkpoint tampering.
 
-``serve_with_faults`` drives a :class:`~repro.core.online.CordialService`
-through a stream while killing the process at scheduled ingest points:
-at each kill the service is checkpointed, *the object is discarded*, and
-a fresh service is restored from the file — the same restart the
-``serve-replay --checkpoint`` path exercises once, here repeated at
+:func:`serve_engine_with_faults` drives a
+:class:`~repro.serving.engine.ShardedCordialEngine` through a stream
+while killing the whole fleet at scheduled ingest points: at each kill
+the fleet is checkpointed into a directory, *every worker is torn down*,
+and a successor engine restored from the directory serves on — the same
+restart ``serve-replay --checkpoint`` exercises once, here repeated at
 arbitrary depth.  Optionally every kill also load-tests deliberately
-damaged copies of the checkpoint (truncated, header-mangled, key-dropped)
-and records whether the persistence layer rejected them with the typed
+damaged copies of the checkpoint's shard file and manifest (truncated,
+header-mangled, key-dropped) and records whether the persistence layer
+rejected them with the typed
 :class:`~repro.core.persistence.CheckpointCorruptionError` — the oracle
-turns any undetected tamper into a violation.
+turns any undetected tamper into a violation.  Per-shard worker faults
+(crash, hang, pipe garbage) ride the same loop for supervised engines.
 
 Every choice (tamper bytes, truncation point) comes from the caller's
 RNG, so fault schedules are as reproducible as the stream operators.
@@ -26,9 +29,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.online import CordialService, Decision
-from repro.core.persistence import (CheckpointCorruptionError,
-                                    load_service_checkpoint,
-                                    save_service_checkpoint)
+from repro.core.persistence import CheckpointCorruptionError
 
 #: Supported checkpoint tampering modes.
 TAMPER_MODES = ("truncate", "mangle_header", "drop_key")
@@ -97,8 +98,8 @@ class ServeOutcome:
     """Everything one faulted serve produced, for the oracle to judge.
 
     Attributes:
-        service: the service instance holding the final state (the last
-            restored one when kills happened).
+        service: a ``CordialService`` holding the merged final fleet
+            state, so the oracle judges the fleet as one service.
         decisions: every decision in emission order.
         restore_count: kill/restore cycles actually performed.
         tamper_trials: tampered-checkpoint load attempts, in order.
@@ -152,27 +153,6 @@ def tamper_checkpoint(path: str, mode: str, rng: np.random.Generator,
     with open(destination, "wb") as handle:
         handle.write(damaged)
     return destination
-
-
-def run_tamper_trials(path: str, modes: Sequence[str],
-                      rng: np.random.Generator) -> List[TamperTrial]:
-    """Load-test one tampered copy of ``path`` per mode."""
-    trials: List[TamperTrial] = []
-    for mode in modes:
-        damaged = tamper_checkpoint(path, mode, rng)
-        try:
-            load_service_checkpoint(damaged)
-        except CheckpointCorruptionError as exc:
-            trials.append(TamperTrial(mode=mode, detected=True,
-                                      error=type(exc).__name__))
-        except Exception as exc:  # wrong type: a miss, not a crash
-            trials.append(TamperTrial(mode=mode, detected=False,
-                                      error=type(exc).__name__))
-        else:
-            trials.append(TamperTrial(mode=mode, detected=False, error=""))
-        finally:
-            os.remove(damaged)
-    return trials
 
 
 def run_fleet_tamper_trials(directory: str, modes: Sequence[str],
@@ -255,14 +235,16 @@ def serve_engine_with_faults(engine, stream: Sequence[Any],
                              tamper_modes: Sequence[str] = (),
                              worker_faults: Sequence[WorkerFault] = ()
                              ) -> Tuple[Any, ServeOutcome]:
-    """Fleet counterpart of :func:`serve_with_faults`.
+    """Serve ``stream`` through ``engine`` with kill/restore faults.
 
-    At each kill point the *whole fleet* is checkpointed into
-    ``checkpoint_dir``, every worker is torn down, and a successor engine
-    restored from the directory serves on — the sharded crash/restart
-    path under chaos.  ``worker_faults`` additionally injects per-shard
-    worker faults (crash/hang/garbage) at their scheduled ingest points;
-    the engine must be supervised for those to be survivable.  Returns
+    ``kill_points`` are 1-based submit counts (points outside
+    ``1..len(stream)`` are ignored): after the k-th event the *whole
+    fleet* is checkpointed into ``checkpoint_dir``, optionally
+    tamper-tested, every worker is torn down, and a successor engine
+    restored from the directory serves on.  ``worker_faults``
+    additionally injects per-shard worker faults (crash/hang/garbage) at
+    their scheduled ingest points; the engine must be supervised for
+    those to be survivable.  Returns
     ``(engine, outcome)``: the engine that finished the stream (close
     it!), and a :class:`ServeOutcome` whose ``service`` is the merged
     single-service view, so the invariant oracle judges the fleet with
@@ -302,37 +284,3 @@ def serve_engine_with_faults(engine, stream: Sequence[Any],
         service=outcome.service, decisions=decisions,
         restore_count=restores, tamper_trials=trials,
         isolation_snapshots=snapshots)
-
-
-def serve_with_faults(service: CordialService, stream: Sequence[Any],
-                      kill_points: Sequence[int], checkpoint_path: str,
-                      rng: np.random.Generator,
-                      tamper_modes: Sequence[str] = ()) -> ServeOutcome:
-    """Serve ``stream`` with kill/restore faults at ``kill_points``.
-
-    ``kill_points`` are 1-based ingest counts: after the k-th ``ingest``
-    call the service is checkpointed to ``checkpoint_path``, optionally
-    tamper-tested, and replaced by a fresh instance restored from the
-    file.  Points outside ``1..len(stream)`` are ignored.
-    """
-    kills = sorted({int(k) for k in kill_points if 1 <= k <= len(stream)})
-    decisions: List[Decision] = []
-    trials: List[TamperTrial] = []
-    snapshots: List[dict] = []
-    restores = 0
-    for index, item in enumerate(stream, start=1):
-        decisions.extend(service.ingest(item))
-        if kills and index == kills[0]:
-            kills.pop(0)
-            save_service_checkpoint(service, checkpoint_path)
-            snapshots.append(copy.deepcopy(service.replay.state_dict()))
-            if tamper_modes:
-                trials.extend(
-                    run_tamper_trials(checkpoint_path, tamper_modes, rng))
-            service = load_service_checkpoint(checkpoint_path)
-            restores += 1
-    decisions.extend(service.flush())
-    snapshots.append(copy.deepcopy(service.replay.state_dict()))
-    return ServeOutcome(service=service, decisions=decisions,
-                        restore_count=restores, tamper_trials=trials,
-                        isolation_snapshots=snapshots)

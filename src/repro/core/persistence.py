@@ -158,19 +158,12 @@ def service_to_document(service: CordialService) -> dict:
     }
 
 
-def service_from_document(document: dict,
-                          obs=None) -> CordialService:
+def service_from_document(document: dict) -> CordialService:
     """Rebuild a service from :func:`service_to_document` output.
 
     Raises :class:`CheckpointCorruptionError` when the document carries
     the right format/version header but a damaged payload (missing keys,
     wrong value shapes) — the signature of truncation or tampering.
-
-    Args:
-        obs: live :class:`~repro.obs.Observability` bundle to attach to
-            the restored service.  A mid-stream restore passes the run's
-            own bundle so the journal keeps appending to the same file
-            and the audit trail continues from the checkpointed records.
     """
     if not isinstance(document, dict):
         raise CheckpointCorruptionError(
@@ -205,8 +198,7 @@ def service_from_document(document: dict,
                 "(truncated or key-dropped document)")
         service = CordialService(cordial,
                                  spares_per_bank=int(state["spares_per_bank"]),
-                                 max_skew=float(state["max_skew"]),
-                                 obs=obs)
+                                 max_skew=float(state["max_skew"]))
         return service.load_state_dict(state)
     except CheckpointCorruptionError:
         raise
@@ -229,8 +221,7 @@ def save_service_checkpoint(service: CordialService,
         json.dump(document, handle)
 
 
-def load_service_checkpoint(source: Union[str, Path],
-                            obs=None) -> CordialService:
+def load_service_checkpoint(source: Union[str, Path]) -> CordialService:
     """Restore a service snapshot written by :func:`save_service_checkpoint`.
 
     The restored service resumes exactly where the snapshot was taken:
@@ -240,10 +231,6 @@ def load_service_checkpoint(source: Union[str, Path],
     A truncated or tampered file raises
     :class:`CheckpointCorruptionError` (a :class:`ModelPersistenceError`
     subclass, so existing handlers keep working).
-
-    Args:
-        obs: live observability bundle to re-attach (see
-            :func:`service_from_document`).
     """
     try:
         with open(source, "r", encoding="utf-8") as handle:
@@ -251,4 +238,4 @@ def load_service_checkpoint(source: Union[str, Path],
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointCorruptionError(
             f"unreadable checkpoint file: {exc}") from exc
-    return service_from_document(document, obs=obs)
+    return service_from_document(document)

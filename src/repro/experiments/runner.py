@@ -10,26 +10,30 @@ processes.  Report content is identical for every ``jobs`` value — only
 the elapsed-time annotations differ.
 
 ``cordial-repro serve-replay`` instead exercises the *online* path: it
-streams a generated fleet's test split through ``CordialService`` (with
-optional bounded shuffling and a mid-stream checkpoint/restore) and dumps
-a metrics JSON report — the serving smoke check CI archives as an
-artifact.
+streams a generated fleet's test split through the fleet serving engine
+(one in-process shard by default; ``--shards N`` / ``--jobs N`` fan it
+out, with optional bounded shuffling, a mid-stream checkpoint/restart
+and shard supervision) and dumps a metrics JSON report — the serving
+smoke check CI archives as an artifact.
 
 ``cordial-repro chaos`` goes further: it runs a seeded fault-injection
-campaign (``repro.chaos``) against the same serving path — stream
-perturbation operators plus kill/restore and checkpoint-tampering
-faults — and exits non-zero if any invariant of the oracle is violated.
+campaign (``repro.chaos``) against the same engine — stream
+perturbation operators plus kill/restore, checkpoint-tampering and
+optional worker faults — and exits non-zero if any invariant of the
+oracle is violated.
 
 Both serving subcommands take ``--obs DIR`` to capture the run's full
 observability record (journal, trace, audit trail, Prometheus metrics —
 see ``docs/OBSERVABILITY.md``); ``cordial-repro obs-report DIR``
-summarises such a directory after the fact.
+summarises one such artifact directory after the fact (serve-replay
+prints the directories it wrote).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -128,9 +132,6 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
     """Stream a generated fleet through the online service; dump metrics."""
     from repro.experiments.serve import run_serve_replay
 
-    if args.supervise and args.shards is None:
-        raise SystemExit("--supervise needs --shards (supervision is a "
-                         "fleet property)")
     report = run_serve_replay(
         scale=args.scale, seed=args.seed, model_name=args.model,
         max_skew=args.max_skew, shuffle=args.shuffle,
@@ -156,8 +157,13 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
     print(f"  wall {timing['wall_seconds']:.2f}s, "
           f"cpu {timing['cpu_seconds']:.2f}s, "
           f"{timing['events_per_second']:,.0f} events/s")
-    if args.obs is not None:
-        print(f"observability artifacts written to {args.obs}")
+    if "obs" in report:
+        blocks = [*report["obs"].get("shards", {}).values()]
+        if "supervisor" in report["obs"]:
+            blocks.append(report["obs"]["supervisor"])
+        for block in blocks:
+            directory = os.path.dirname(block["artifacts"]["summary"])
+            print(f"observability artifacts written to {directory}")
     print(f"metrics report written to {args.output}")
     return 0
 
@@ -175,10 +181,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.worker_faults_per_run or args.poison_per_run:
         import dataclasses
 
-        if args.shards is None:
-            raise SystemExit("--worker-faults-per-run/--poison-per-run "
-                             "need --shards (supervision is a fleet "
-                             "property)")
         plan = dataclasses.replace(
             plan, worker_faults_per_run=args.worker_faults_per_run,
             poison_per_run=args.poison_per_run)
@@ -222,8 +224,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_obs_report(args: argparse.Namespace) -> int:
     """Summarise the artifacts of an ``--obs`` output directory."""
-    import os
-
     from repro.obs import (AUDIT_FILE, JOURNAL_FILE, SUMMARY_FILE,
                            TRACE_FILE, AuditLog, read_journal)
 
@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     p = sub.add_parser(
         "serve-replay",
-        help="stream a generated fleet through the online CordialService "
-             "and dump a metrics JSON report")
+        help="stream a generated fleet through the online fleet serving "
+             "engine and dump a metrics JSON report")
     p.add_argument("--scale", type=float, default=0.12,
                    help="fleet scale of the served dataset")
     p.add_argument("--seed", type=int, default=42, help="generator seed")
@@ -342,29 +342,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shuffle-seed", type=int, default=0,
                    dest="shuffle_seed")
     p.add_argument("--checkpoint", type=str, default=None,
-                   help="checkpoint/restore the service mid-stream "
-                        "through this file (a directory with --shards; "
-                        "exercises restart)")
+                   help="checkpoint the fleet mid-stream into this "
+                        "directory and serve the rest on an engine "
+                        "restored from it (exercises restart)")
     p.add_argument("--checkpoint-at", type=_positive_int, default=None,
                    dest="checkpoint_at",
                    help="take the --checkpoint snapshot after this many "
                         "events (default: mid-stream; must lie within "
                         "the stream)")
-    p.add_argument("--shards", type=_positive_int, default=None,
-                   help="serve through the sharded fleet engine with "
-                        "this many bank-key shards (decisions/ICR/"
-                        "metrics are identical for any value; --jobs "
+    p.add_argument("--shards", type=_positive_int, default=1,
+                   help="bank-key shards of the fleet engine (decisions/"
+                        "ICR/metrics are identical for any value; --jobs "
                         "sets the worker processes)")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--output", type=str, default="serve_metrics.json",
                    help="where to write the metrics JSON report")
     p.add_argument("--obs", type=str, default=None, metavar="DIR",
                    help="write observability artifacts (run journal, "
-                        "trace, audit trail, Prometheus metrics) into "
-                        "this directory")
+                        "trace, audit trail, Prometheus metrics) under "
+                        "this directory, one shard-NN subdirectory per "
+                        "shard (epoch-01/shard-NN after a --checkpoint "
+                        "restart)")
     p.add_argument("--supervise", action="store_true",
-                   help="run the fleet under the shard supervisor "
-                        "(requires --shards): crash detection, "
+                   help="run the fleet under the shard supervisor: "
+                        "crash detection, "
                         "deterministic restart, poison quarantine, "
                         "degraded failover — output stays byte-identical")
     p.add_argument("--max-restarts", type=int, default=3,
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=11, help="generator seed")
     c.add_argument("--model", default="LightGBM",
                    choices=["Random Forest", "XGBoost", "LightGBM"])
-    c.add_argument("--runs", type=int, default=20,
+    c.add_argument("--runs", type=_positive_int, default=20,
                    help="chaos runs in the campaign")
     c.add_argument("--campaign-seed", type=int, default=0,
                    dest="campaign_seed",
@@ -412,29 +413,26 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--intensity", type=float, default=1.0,
                    help="scale every operator rate at once "
                         "(default plan only)")
-    c.add_argument("--max-events", type=int, default=None,
+    c.add_argument("--max-events", type=_positive_int, default=None,
                    dest="max_events",
                    help="truncate the test stream (smoke runs)")
-    c.add_argument("--shards", type=_positive_int, default=None,
-                   help="serve every chaos run through the sharded fleet "
-                        "engine with this many shards (kill points then "
-                        "restart the whole fleet)")
+    c.add_argument("--shards", type=_positive_int, default=1,
+                   help="bank-key shards of every chaos run's fleet "
+                        "engine (kill points restart the whole fleet)")
     c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--engine-jobs", type=_positive_int, default=1,
                    dest="engine_jobs",
-                   help="worker processes per sharded chaos engine "
-                        "(1 = in-process workers; with --shards)")
+                   help="worker processes per chaos engine "
+                        "(1 = in-process workers)")
     c.add_argument("--worker-faults-per-run", type=int, default=0,
                    dest="worker_faults_per_run",
                    help="per-shard worker faults (crash/hang/garbage) "
                         "injected per run; engages the shard supervisor "
-                        "and the byte-identical twin check "
-                        "(requires --shards)")
+                        "and the byte-identical twin check")
     c.add_argument("--poison-per-run", type=int, default=0,
                    dest="poison_per_run",
                    help="poison records planted per run, each bisected "
-                        "out and quarantined by the supervisor "
-                        "(requires --shards)")
+                        "out and quarantined by the supervisor")
     c.add_argument("--output", type=str, default="chaos_report.json",
                    help="where to write the campaign JSON report")
     c.add_argument("--obs", type=str, default=None, metavar="DIR",

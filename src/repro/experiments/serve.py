@@ -1,12 +1,15 @@
-"""Streaming serve-replay harness: drive ``CordialService`` over a fleet.
+"""Streaming serve-replay harness: drive the fleet engine over a fleet.
 
 ``cordial-repro serve-replay`` generates a fleet, trains a pipeline on
-the 70 % bank split, then streams the 30 % test split through a
-:class:`~repro.core.online.CordialService` event by event — optionally
-shuffled within a skew bound, and optionally checkpoint/restored halfway
-— and dumps a metrics JSON report.  The report's trigger and decision
-counts match ``Cordial.evaluate`` on the same data (locked down by
-``tests/test_serving_equivalence.py``), so the serving path can be
+the 70 % bank split, then streams the 30 % test split event by event
+through a :class:`~repro.serving.engine.ShardedCordialEngine` — one
+in-process shard by default — optionally shuffled within a skew bound,
+optionally checkpointed and restarted halfway, optionally supervised,
+and dumps a metrics JSON report.  The engine is bit-identical to one
+:class:`~repro.core.online.CordialService` for any shard count
+(``tests/test_sharded_serving.py``), and the report's trigger and
+decision counts match ``Cordial.evaluate`` on the same data
+(``tests/test_serving_equivalence.py``), so the serving path can be
 smoke-checked in CI without a separate ground-truth harness.
 """
 
@@ -21,10 +24,11 @@ from repro.core.online import CordialService, Decision
 from repro.core.pipeline import Cordial
 from repro.datasets import FleetGenConfig, generate_fleet_dataset
 from repro.ml.selection import train_test_split_groups
-from repro.obs import Observability, build_provenance
+from repro.obs import build_provenance
 from repro.obs.tracer import resolve_clock
+from repro.serving import (ShardedCordialEngine, SupervisorConfig,
+                           serve_stream_sharded)
 from repro.telemetry.events import ErrorRecord
-from repro.telemetry.metrics import MetricsRegistry
 
 #: Split seed matching the test-suite convention (`tests/conftest.py`).
 SPLIT_SEED = 7
@@ -60,51 +64,6 @@ def bounded_shuffle(records: Sequence[ErrorRecord], max_skew: float,
     jitter = rng.uniform(-half, half, size=len(records))
     order = np.argsort(timestamps + jitter, kind="stable")
     return [records[i] for i in order]
-
-
-def serve_stream(service: CordialService,
-                 records: Sequence[ErrorRecord],
-                 checkpoint_path: Optional[str] = None,
-                 checkpoint_at: Optional[int] = None,
-                 ) -> Tuple[CordialService, List[Decision]]:
-    """Feed ``records`` through ``service`` (ingest + final flush).
-
-    When both ``checkpoint_path`` and ``checkpoint_at`` are given, the
-    service is snapshotted after ``checkpoint_at`` events, *restored from
-    that file into a fresh service*, and the stream continues on the
-    restored instance — exercising the crash/restart path for real.
-
-    Returns ``(service, decisions)`` — the service actually holding the
-    final state (the restored one when a checkpoint was taken).
-
-    Raises ``ValueError`` when ``checkpoint_at`` lies outside the
-    stream: the restart path would silently never run, which is a
-    misconfiguration (the checkpoint you asked for does not exist), not
-    a degenerate no-op.
-    """
-    if checkpoint_path is not None and checkpoint_at is not None:
-        if not 1 <= checkpoint_at <= len(records):
-            raise ValueError(
-                f"checkpoint_at={checkpoint_at} outside the stream "
-                f"(1..{len(records)}); the checkpoint would never fire")
-    decisions: List[Decision] = []
-    for index, record in enumerate(records):
-        decisions.extend(service.ingest(record))
-        if checkpoint_path is not None and checkpoint_at == index + 1:
-            from repro.core.persistence import (load_service_checkpoint,
-                                                save_service_checkpoint)
-            # The live obs bundle survives the restart: the journal file
-            # keeps appending and the audit trail resumes from the
-            # checkpointed records (the ``obs`` slice of the document).
-            obs = service.obs
-            if obs is not None:
-                obs.journal.checkpoint("save", at_event=index + 1)
-            save_service_checkpoint(service, checkpoint_path)
-            service = load_service_checkpoint(checkpoint_path, obs=obs)
-            if obs is not None:
-                obs.journal.checkpoint("restore", at_event=index + 1)
-    decisions.extend(service.flush())
-    return service, decisions
 
 
 def build_report(service: CordialService, decisions: Sequence[Decision],
@@ -158,16 +117,13 @@ def build_report(service: CordialService, decisions: Sequence[Decision],
 class TimingProbe:
     """Wall/CPU stopwatch for one serving stretch.
 
-    Wall time reads the *trace clock* — the tracer's clock when an
-    :class:`~repro.obs.Observability` bundle is given, otherwise
-    :func:`repro.obs.tracer.resolve_clock` (which honours
-    ``REPRO_FAKE_CLOCK``, making the wall figures reproducible in
-    tests); CPU time always reads :func:`time.process_time`.
+    Wall time reads :func:`repro.obs.tracer.resolve_clock` (which
+    honours ``REPRO_FAKE_CLOCK``, making the wall figures reproducible
+    in tests); CPU time always reads :func:`time.process_time`.
     """
 
-    def __init__(self, obs: Optional[Observability] = None) -> None:
-        self._clock = (obs.tracer.clock if obs is not None
-                       else resolve_clock(None))
+    def __init__(self) -> None:
+        self._clock = resolve_clock(None)
         self._wall_start = self._clock()
         self._cpu_start = time.process_time()
 
@@ -216,7 +172,7 @@ def run_serve_replay(scale: float = 0.12, seed: int = 42,
                      spares_per_bank: int = 64, jobs: int = 1,
                      checkpoint_path: Optional[str] = None,
                      checkpoint_at: Optional[int] = None,
-                     shards: Optional[int] = None,
+                     shards: int = 1,
                      obs_dir: Optional[str] = None,
                      audit_attributions: bool = False,
                      supervise: bool = False, max_restarts: int = 3,
@@ -224,32 +180,39 @@ def run_serve_replay(scale: float = 0.12, seed: int = 42,
                      snapshot_every: int = 8) -> dict:
     """Generate, train, stream, and report — the full serve-replay run.
 
+    The merged fleet service is a real :class:`CordialService`, so
+    :func:`build_report` runs on it unchanged; only the metrics block is
+    taken from the fleet merge (counters only — gauges and histograms
+    are per-shard wall-clock series with no shard-count-invariant
+    meaning), which makes the report byte-comparable across shard
+    counts modulo the timing block.
+
     Args:
-        shards: when given, serve through the sharded fleet engine
-            (``repro.serving``) with this many bank-key shards and
-            ``jobs`` worker processes; decisions, ICR, and the merged
-            metrics document are identical for any shard count (only
-            the timing block differs).  ``checkpoint_path`` then names
-            a fleet checkpoint *directory* (manifest + per-shard
-            files), and ``obs_dir`` grows per-shard subdirectories.
+        shards: bank-key shards of the fleet engine, served by ``jobs``
+            worker processes (one shard in-process by default).
+            Decisions, ICR, and the merged metrics document are
+            identical for any shard or worker count.
+        checkpoint_path: a fleet checkpoint *directory* (manifest +
+            per-shard files); the fleet is checkpointed after
+            ``checkpoint_at`` events (default: mid-stream), torn down,
+            and a restored engine serves the rest.
         supervise: run the fleet under a
-            :class:`~repro.serving.supervisor.ShardSupervisor` (requires
-            ``shards``): worker failures are detected, workers restarted
-            deterministically, poison records quarantined, and exhausted
-            shards failed over to in-process execution — with output
-            still byte-identical.  ``max_restarts`` / ``batch_timeout``
-            / ``poison_threshold`` / ``snapshot_every`` tune the policy;
-            the report gains a ``supervision`` counters block.
-        obs_dir: when given, attach a full observability bundle and
-            write its artifacts (journal, trace, audit trail, metrics,
-            Prometheus exposition, summary) into this directory; the
-            decisions and ICR stay byte-identical to an unobserved run.
+            :class:`~repro.serving.supervisor.ShardSupervisor`: worker
+            failures are detected, workers restarted deterministically,
+            poison records quarantined, and exhausted shards failed over
+            to in-process execution — with output still byte-identical.
+            ``max_restarts`` / ``batch_timeout`` / ``poison_threshold``
+            / ``snapshot_every`` tune the policy; the report gains a
+            ``supervision`` counters block.
+        obs_dir: when given, every shard writes its observability
+            artifacts (journal, trace, audit trail, metrics, Prometheus
+            exposition, summary) under ``obs_dir/shard-NN`` — under
+            ``obs_dir/epoch-01/shard-NN`` after a checkpoint restart;
+            the decisions and ICR stay byte-identical to an unobserved
+            run.
         audit_attributions: record per-feature attributions for every
             flagged block in the audit trail (slow; implies ``obs_dir``).
     """
-    if supervise and shards is None:
-        raise ValueError("supervision requires a sharded fleet "
-                         "(--supervise needs --shards)")
     cordial, stream, truth, meta = prepare_serving_run(
         scale=scale, seed=seed, model_name=model_name, jobs=jobs)
     if shuffle:
@@ -268,76 +231,20 @@ def run_serve_replay(scale: float = 0.12, seed: int = 42,
         "test_banks": meta["test_banks"],
         "stream_events": len(stream),
         "checkpointed_at": checkpoint_at if checkpoint_path else None,
+        "shards": shards,
     }
-    if shards is not None:
-        config["shards"] = shards
-        supervisor = None
-        if supervise:
-            from repro.serving import SupervisorConfig
-
-            supervisor = SupervisorConfig(
-                max_restarts=max_restarts, batch_timeout=batch_timeout,
-                poison_threshold=poison_threshold,
-                snapshot_every=snapshot_every)
-            config["supervise"] = {
-                "max_restarts": max_restarts,
-                "batch_timeout": batch_timeout,
-                "poison_threshold": poison_threshold,
-                "snapshot_every": snapshot_every,
-            }
-        return _run_serve_replay_sharded(
-            cordial, stream, truth, config, shards=shards, jobs=jobs,
-            max_skew=max_skew, spares_per_bank=spares_per_bank,
-            checkpoint_path=checkpoint_path, checkpoint_at=checkpoint_at,
-            obs_dir=obs_dir, audit_attributions=audit_attributions,
-            seed=seed, shuffle_seed=shuffle_seed, supervisor=supervisor)
-    metrics = MetricsRegistry()
-    obs = None
-    if obs_dir is not None:
-        obs = Observability.create(
-            obs_dir, metrics=metrics,
-            provenance=build_provenance(
-                seeds={"generator": seed, "shuffle": shuffle_seed,
-                       "split": SPLIT_SEED},
-                config=config),
-            attributions=audit_attributions)
-    service = CordialService(cordial, spares_per_bank=spares_per_bank,
-                             max_skew=max_skew, metrics=metrics, obs=obs)
-
-    probe = TimingProbe(obs)
-    service, decisions = serve_stream(service, stream,
-                                      checkpoint_path=checkpoint_path,
-                                      checkpoint_at=checkpoint_at)
-    timing = probe.finish(len(stream))
-
-    report = build_report(service, decisions, truth, config=config,
-                          timing=timing)
-    if obs is not None:
-        artifacts = obs.export(obs_dir, metrics=service.metrics)
-        report["obs"] = {"artifacts": artifacts, "summary": obs.summary()}
-    return report
-
-
-def _run_serve_replay_sharded(cordial, stream, truth, config, *,
-                              shards: int, jobs: int, max_skew: float,
-                              spares_per_bank: int,
-                              checkpoint_path: Optional[str],
-                              checkpoint_at: Optional[int],
-                              obs_dir: Optional[str],
-                              audit_attributions: bool,
-                              seed: int, shuffle_seed: int,
-                              supervisor=None) -> dict:
-    """The ``--shards`` serve-replay path: fleet engine + merged report.
-
-    The merged service is a real :class:`CordialService`, so
-    :func:`build_report` runs on it unchanged; only the metrics block is
-    taken from the fleet merge (counters only — gauges and histograms
-    are per-shard wall-clock series with no shard-count-invariant
-    meaning), which is what makes the report byte-comparable across
-    shard counts modulo the timing block.
-    """
-    from repro.serving import ShardedCordialEngine, serve_stream_sharded
-
+    supervisor = None
+    if supervise:
+        supervisor = SupervisorConfig(
+            max_restarts=max_restarts, batch_timeout=batch_timeout,
+            poison_threshold=poison_threshold,
+            snapshot_every=snapshot_every)
+        config["supervise"] = {
+            "max_restarts": max_restarts,
+            "batch_timeout": batch_timeout,
+            "poison_threshold": poison_threshold,
+            "snapshot_every": snapshot_every,
+        }
     provenance = None
     if obs_dir is not None:
         provenance = build_provenance(
@@ -349,7 +256,7 @@ def _run_serve_replay_sharded(cordial, stream, truth, config, *,
         spares_per_bank=spares_per_bank, max_skew=max_skew,
         obs_dir=obs_dir, obs_provenance=provenance,
         obs_attributions=audit_attributions, supervisor=supervisor)
-    probe = TimingProbe(None)
+    probe = TimingProbe()
     try:
         engine, outcome = serve_stream_sharded(
             engine, stream, checkpoint_dir=checkpoint_path,

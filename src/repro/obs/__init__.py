@@ -60,7 +60,6 @@ class Observability:
 
     @classmethod
     def create(cls, directory: Optional[Union[str, Path]] = None,
-               metrics: Optional[MetricsRegistry] = None,
                provenance: Optional[Mapping] = None,
                clock: Optional[Callable[[], float]] = None,
                attributions: bool = False,
@@ -71,6 +70,11 @@ class Observability:
         appending to ``journal.jsonl`` immediately (provenance header
         first), while the trace/audit/metrics artifacts are written by
         :meth:`export` at end of run.
+
+        The tracer records its span-duration histograms into a registry
+        of its own, never into the service's: span durations are clock
+        readings, and the service registry is checkpoint state that two
+        identical runs must write byte for byte.
         """
         clock = resolve_clock(clock)
         journal_path = None
@@ -78,7 +82,7 @@ class Observability:
             directory = Path(directory)
             directory.mkdir(parents=True, exist_ok=True)
             journal_path = directory / JOURNAL_FILE
-        tracer = SpanTracer(clock=clock, metrics=metrics)
+        tracer = SpanTracer(clock=clock, metrics=MetricsRegistry())
         journal = RunJournal(path=journal_path, clock=clock,
                              provenance=dict(provenance or {}),
                              sample_every=sample_every)
@@ -108,9 +112,10 @@ class Observability:
 
         ``trace.json`` (Chrome ``trace_event``), ``audit.jsonl``,
         ``obs_summary.json``, and — when a registry is given —
-        ``metrics.json`` (the registry export document) and
-        ``metrics.prom`` (text exposition).  The journal has been
-        appending to ``journal.jsonl`` all along; it is flushed here.
+        ``metrics.json`` (the registry export document, plus the
+        tracer's ``trace.span_seconds`` histograms) and ``metrics.prom``
+        (text exposition of the same).  The journal has been appending
+        to ``journal.jsonl`` all along; it is flushed here.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -136,6 +141,11 @@ class Observability:
         if metrics is not None:
             metrics_path = directory / METRICS_FILE
             document = metrics.as_dict()
+            if self.tracer.metrics is not None:
+                histograms = {**document["histograms"],
+                              **self.tracer.metrics.as_dict()["histograms"]}
+                document["histograms"] = {k: histograms[k]
+                                          for k in sorted(histograms)}
             with open(metrics_path, "w", encoding="utf-8") as handle:
                 json.dump(document, handle, indent=2, sort_keys=True)
                 handle.write("\n")

@@ -361,7 +361,7 @@ class ShardedCordialEngine:
                 provenance["role"] = "supervisor"
                 self._sup_obs = Observability.create(
                     os.path.join(self._obs_base, "supervisor"),
-                    metrics=self.supervisor_metrics, provenance=provenance)
+                    provenance=provenance)
                 journal, audit = self._sup_obs.journal, self._sup_obs.audit
             self._supervisor = ShardSupervisor(
                 supervisor, spawn=self._spawn_worker,
@@ -525,6 +525,9 @@ class ShardedCordialEngine:
             manifest["router"], manifest["stats"],
             {"version": EXPORT_VERSION,
              "counters": dict(manifest["counters"]), "gauges": {}})
+        if obs_dir is None:
+            # An unobserved fleet has no bundle to hand the audit to.
+            merged_state.pop("obs", None)
         config = manifest["config"]
         engine = cls(services[0].cordial, n_shards, n_jobs=n_jobs,
                      spares_per_bank=int(config["spares_per_bank"]),
@@ -643,8 +646,8 @@ def serve_stream_sharded(engine: ShardedCordialEngine,
 
     When ``checkpoint_dir`` and ``checkpoint_at`` are given, the fleet
     is snapshotted after ``checkpoint_at`` events, the engine is torn
-    down, and a *restored* engine serves the remainder — the sharded
-    crash/restart path, mirroring ``serve_stream``.  Raises
+    down, and a *restored* engine serves the remainder — the fleet's
+    crash/restart path, which ``serve-replay --checkpoint`` drives.  Raises
     ``ValueError`` when ``checkpoint_at`` lies outside the stream (a
     checkpoint that silently never fires is a misconfiguration, not a
     run).

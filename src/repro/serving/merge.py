@@ -32,6 +32,11 @@ The non-bank-keyed pieces need explicit accounting:
   shard-count-invariant but their per-shard attribution is not; a split
   assigns the merged totals to shard 0 so the sums survive any
   save/restore topology.
+* **audit trail** — observed shards checkpoint their decision audit
+  (``state["obs"]``); the merge concatenates the shard trails in shard
+  order and a split hands every shard its own banks' records back in
+  their original order, so a restored fleet keeps the records taken
+  before the checkpoint.
 """
 
 from __future__ import annotations
@@ -115,7 +120,10 @@ def merge_service_states(shard_states: Sequence[dict], router_state: dict,
     The result has the exact layout of ``CordialService.state_dict()``
     for a service that served the whole stream alone, so it loads into a
     real service (reports, oracle checks, and re-sharding all reuse the
-    single-service machinery unchanged).
+    single-service machinery unchanged).  Observed shard states also
+    union their audit trails under ``"obs"``; an unobserved fleet's
+    merged state has no ``"obs"`` key, exactly like an unobserved
+    service's.
     """
     reference = shard_states[0]
     collector_ref = reference["collector"]
@@ -155,7 +163,7 @@ def merge_service_states(shard_states: Sequence[dict], router_state: dict,
         return sorted((entry for state in shard_states for entry in state[key]),
                       key=lambda entry: entry[0])
 
-    return {
+    merged = {
         "spares_per_bank": reference["spares_per_bank"],
         "max_skew": reference["max_skew"],
         "collector": collector,
@@ -166,6 +174,20 @@ def merge_service_states(shard_states: Sequence[dict], router_state: dict,
         "feature_state": union("feature_state"),
         "metrics": metrics,
     }
+    audits = [state["obs"]["audit"] for state in shard_states
+              if "obs" in state]
+    if audits:
+        # Observed shards: one audit trail, shard by shard, each shard's
+        # records in their own decision order.
+        records = [record for audit in audits for record in audit["records"]]
+        merged["obs"] = {"audit": {**audits[0],
+                                   "records": _renumbered(records)}}
+    return merged
+
+
+def _renumbered(records: Sequence[dict]) -> List[dict]:
+    """Audit records re-indexed by their position in the new trail."""
+    return [{**record, "index": index} for index, record in enumerate(records)]
 
 
 def split_service_state(state: dict, n_shards: int) -> List[dict]:
@@ -230,4 +252,11 @@ def split_service_state(state: dict, n_shards: int) -> List[dict]:
                               if owner(entry[0]) == sid],
             "metrics": MetricsRegistry().as_dict(),
         })
+        if "obs" in state:
+            audit = state["obs"]["audit"]
+            shards[-1]["obs"] = {"audit": {
+                **audit,
+                "records": _renumbered([record for record in audit["records"]
+                                        if owner(record["bank_key"]) == sid]),
+            }}
     return shards

@@ -25,7 +25,6 @@ from repro.core.online import CordialService, Decision
 from repro.core.pipeline import Cordial
 from repro.obs import Observability
 from repro.telemetry.events import ErrorRecord
-from repro.telemetry.metrics import MetricsRegistry
 
 
 def shard_obs_directory(base: str, shard_id: int) -> str:
@@ -60,7 +59,6 @@ class ShardHost:
             self.decisions[shard_id] = []
 
     def _create_service(self, shard_id: int) -> CordialService:
-        metrics = MetricsRegistry()
         obs = None
         if self.obs_spec is not None:
             directory = shard_obs_directory(self.obs_spec["directory"],
@@ -69,13 +67,12 @@ class ShardHost:
             provenance = dict(self.obs_spec.get("provenance") or {})
             provenance["shard"] = shard_id
             obs = Observability.create(
-                directory, metrics=metrics, provenance=provenance,
+                directory, provenance=provenance,
                 attributions=bool(self.obs_spec.get("attributions", False)))
         return CordialService(
             self.cordial,
             spares_per_bank=int(self.config["spares_per_bank"]),
-            max_skew=float(self.config["max_skew"]),
-            metrics=metrics, obs=obs)
+            max_skew=float(self.config["max_skew"]), obs=obs)
 
     # -- protocol ------------------------------------------------------------
     def load(self, shard_id: int, state: dict) -> None:

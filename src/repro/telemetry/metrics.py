@@ -25,9 +25,7 @@ label set is its own child series under the family name, exported as
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Default latency buckets (seconds): 10 us .. 1 s, roughly log-spaced.
 DEFAULT_LATENCY_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3,
@@ -173,17 +171,6 @@ class MetricsRegistry:
         if metric is None:
             metric = self._histograms[key] = Histogram(buckets)
         return metric
-
-    @contextmanager
-    def timer(self, name: str,
-              labels: Optional[Mapping[str, str]] = None) -> Iterator[None]:
-        """Context manager observing elapsed seconds into a histogram."""
-        histogram = self.histogram(name, labels=labels)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            histogram.observe(time.perf_counter() - start)
 
     # -- export / restore ----------------------------------------------------
     def as_dict(self, include_histograms: bool = True) -> dict:

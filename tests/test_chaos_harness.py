@@ -22,16 +22,18 @@ import pytest
 
 from repro.chaos import (CampaignConfig, ChaosPlan, InvariantOracle,
                          OPERATORS, OperatorSpec, apply_operator,
-                         default_plan, is_error_record, serve_with_faults)
+                         default_plan, is_error_record,
+                         serve_engine_with_faults)
 from repro.chaos.campaign import decisions_digest, run_campaign
 from repro.chaos.operators import (op_burst, op_clock_jitter, op_corrupt,
                                    op_drop, op_duplicate, op_reorder)
 from repro.chaos.oracle import CleanBaseline
 from repro.core.online import CordialService
 from repro.core.pipeline import Cordial
-from repro.experiments.serve import serve_stream
 from repro.hbm.address import DeviceAddress
+from repro.serving import ShardedCordialEngine
 from repro.telemetry.events import ErrorRecord, ErrorType
+from tests.serve_helpers import serve_all
 
 
 def rec(seq, t, row=1, error_type=ErrorType.CE):
@@ -187,9 +189,14 @@ class TestOracleCatchesInjectedViolations:
 
     @pytest.fixture()
     def outcome(self, cordial, test_stream, tmp_path):
-        service = CordialService(cordial, max_skew=3600.0)
-        return serve_with_faults(service, test_stream[:60], [30],
-                                 str(tmp_path / "sab.ckpt"), rng(0))
+        engine = ShardedCordialEngine(cordial, 1, max_skew=3600.0)
+        try:
+            engine, outcome = serve_engine_with_faults(
+                engine, test_stream[:60], [30], str(tmp_path / "sab.fleet"),
+                rng(0))
+        finally:
+            engine.close()
+        return outcome
 
     def test_clean_outcome_is_healthy(self, outcome, truth, tmp_path):
         oracle = InvariantOracle(default_plan())
@@ -372,7 +379,7 @@ class TestCorruptStreamServing:
 
     def test_decision_digest_is_stable(self, cordial, test_stream):
         service = CordialService(cordial, max_skew=3600.0)
-        _, decisions = serve_stream(service, test_stream[:80])
+        decisions = serve_all(service, test_stream[:80])
         service2 = CordialService(cordial, max_skew=3600.0)
-        _, decisions2 = serve_stream(service2, test_stream[:80])
+        decisions2 = serve_all(service2, test_stream[:80])
         assert decisions_digest(decisions) == decisions_digest(decisions2)

@@ -2,9 +2,9 @@
 
 Satellites of the chaos harness:
 
-* a service killed and restored from its checkpoint at *every* k-th
-  ingest point emits decisions and a final ICR byte-identical to an
-  uninterrupted run — restarts are invisible at any frequency;
+* a fleet engine killed and restored from its checkpoint at *every*
+  k-th ingest point emits decisions and a final ICR byte-identical to an
+  uninterrupted plain service — restarts are invisible at any frequency;
 * every tampered checkpoint (truncated, header-mangled, key-dropped)
   is rejected with the typed :class:`CheckpointCorruptionError`;
 * a failed restore is transactional — the in-memory service is left
@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.chaos.faults import (TAMPER_MODES, serve_with_faults,
+from repro.chaos.faults import (TAMPER_MODES, serve_engine_with_faults,
                                 tamper_checkpoint)
 from repro.core.online import CordialService
 from repro.core.persistence import (CheckpointCorruptionError,
@@ -25,7 +25,8 @@ from repro.core.persistence import (CheckpointCorruptionError,
                                     load_service_checkpoint, save_cordial,
                                     save_service_checkpoint)
 from repro.core.pipeline import Cordial
-from repro.experiments.serve import serve_stream
+from repro.serving import ShardedCordialEngine
+from tests.serve_helpers import serve_all
 
 
 def rng(seed=0):
@@ -59,36 +60,45 @@ def decisions_json(decisions):
     return json.dumps([d.to_obj() for d in decisions], sort_keys=True)
 
 
+def serve_with_kills(cordial, stream, kill_points, directory):
+    engine = ShardedCordialEngine(cordial, 1, max_skew=3600.0)
+    try:
+        engine, outcome = serve_engine_with_faults(
+            engine, stream, kill_points, directory, rng(0))
+    finally:
+        engine.close()
+    return outcome
+
+
 class TestKillRestoreEquivalence:
     @pytest.mark.parametrize("every_k", [23, 57])
     def test_periodic_kills_are_invisible(self, cordial, test_stream, truth,
                                           tmp_path, every_k):
         stream = test_stream[:180]
         baseline = CordialService(cordial, max_skew=3600.0)
-        _, expect = serve_stream(baseline, stream)
+        expect = serve_all(baseline, stream)
 
         kill_points = list(range(every_k, len(stream) + 1, every_k))
-        outcome = serve_with_faults(
-            CordialService(cordial, max_skew=3600.0), stream, kill_points,
-            str(tmp_path / "kr.ckpt"), rng(0))
+        outcome = serve_with_kills(cordial, stream, kill_points,
+                                   str(tmp_path / "kr.fleet"))
 
         assert outcome.restore_count == len(kill_points)
         assert decisions_json(outcome.decisions) == decisions_json(expect)
         assert outcome.service.coverage(truth) == baseline.coverage(truth)
         assert outcome.service.stats.to_dict() == baseline.stats.to_dict()
-        assert outcome.service.metrics.as_dict(include_histograms=False) \
-            == baseline.metrics.as_dict(include_histograms=False)
+        # The fleet merge keeps counters only (gauges are per-shard).
+        assert outcome.service.metrics.as_dict()["counters"] \
+            == baseline.metrics.as_dict()["counters"]
 
     def test_kill_at_every_single_ingest(self, cordial, test_stream,
                                          tmp_path):
         # The brutal end of the spectrum: restart after *every* event.
         stream = test_stream[:40]
         baseline = CordialService(cordial, max_skew=3600.0)
-        _, expect = serve_stream(baseline, stream)
-        outcome = serve_with_faults(
-            CordialService(cordial, max_skew=3600.0), stream,
-            list(range(1, len(stream) + 1)), str(tmp_path / "kr.ckpt"),
-            rng(0))
+        expect = serve_all(baseline, stream)
+        outcome = serve_with_kills(cordial, stream,
+                                   list(range(1, len(stream) + 1)),
+                                   str(tmp_path / "kr.fleet"))
         assert outcome.restore_count == len(stream)
         assert decisions_json(outcome.decisions) == decisions_json(expect)
 
@@ -97,7 +107,7 @@ class TestTamperedCheckpointsAreRejected:
     @pytest.fixture()
     def checkpoint(self, cordial, test_stream, tmp_path):
         service = CordialService(cordial, max_skew=3600.0)
-        serve_stream(service, test_stream[:80])
+        serve_all(service, test_stream[:80])
         path = str(tmp_path / "good.ckpt")
         save_service_checkpoint(service, path)
         return path
@@ -157,7 +167,7 @@ class TestFailedRestoreIsTransactional:
     def test_live_service_untouched_by_corrupt_state(self, cordial,
                                                      test_stream):
         service = CordialService(cordial, max_skew=3600.0)
-        serve_stream(service, test_stream[:80])
+        serve_all(service, test_stream[:80])
         before = copy.deepcopy(service.state_dict())
 
         for sabotage in [
@@ -184,7 +194,7 @@ class TestFailedRestoreIsTransactional:
                                                           test_stream,
                                                           tmp_path):
         service = CordialService(cordial, max_skew=3600.0)
-        serve_stream(service, test_stream[:60])
+        serve_all(service, test_stream[:60])
         path = str(tmp_path / "ckpt.json")
         save_service_checkpoint(service, path)
         damaged = tamper_checkpoint(path, "truncate", rng(1))

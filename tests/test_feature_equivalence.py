@@ -17,10 +17,11 @@ from repro.core.features import (BankPatternFeaturizer, CrossRowFeaturizer,
 from repro.core.incremental import IncrementalFeatureState
 from repro.core.online import CordialService
 from repro.core.pipeline import Cordial, collect_snapshots, collect_triggers
-from repro.experiments.serve import bounded_shuffle, serve_stream
+from repro.experiments.serve import bounded_shuffle
 from repro.obs import Observability
 from tests.reference_features import (block_features, pattern_features,
                                       pattern_features_packed)
+from tests.serve_helpers import serve_all
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +128,8 @@ class TestServiceEquivalence:
         stream = [r for r in small_dataset.store if r.bank_key in test_set]
         obs = Observability()
         service = CordialService(cordial, max_skew=600.0, obs=obs)
-        _, decisions = serve_stream(
-            service, bounded_shuffle(stream, 600.0, seed=0))
+        decisions = serve_all(service,
+                              bounded_shuffle(stream, 600.0, seed=0))
 
         by_bank = {}
         for record in sorted(stream,

@@ -15,8 +15,10 @@ from repro.core.online import CordialService
 from repro.core.persistence import (load_service_checkpoint,
                                     save_service_checkpoint)
 from repro.core.pipeline import Cordial
-from repro.experiments.serve import serve_stream
-from repro.obs import FakeClock, Observability
+from repro.obs import (AUDIT_FILE, JOURNAL_FILE, AuditLog, FakeClock,
+                       Observability, read_journal)
+from repro.serving import ShardHost, ShardedCordialEngine, serve_stream_sharded
+from tests.serve_helpers import serve_all
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +56,11 @@ class TestDecisionEquivalence:
     def test_observed_run_matches_unobserved(self, cordial, test_stream,
                                              truth):
         plain = CordialService(cordial)
-        _, expect = serve_stream(plain, test_stream)
+        expect = serve_all(plain, test_stream)
 
         obs = make_obs()
         observed = CordialService(cordial, obs=obs)
-        _, got = serve_stream(observed, test_stream)
+        got = serve_all(observed, test_stream)
 
         assert decisions_json(got) == decisions_json(expect)
         assert observed.coverage(truth) == plain.coverage(truth)
@@ -75,11 +77,11 @@ class TestDecisionEquivalence:
     def test_attributions_do_not_change_decisions(self, cordial,
                                                   test_stream):
         plain = CordialService(cordial)
-        _, expect = serve_stream(plain, test_stream[:400])
+        expect = serve_all(plain, test_stream[:400])
 
         obs = make_obs(attributions=True)
         observed = CordialService(cordial, obs=obs)
-        _, got = serve_stream(observed, test_stream[:400])
+        got = serve_all(observed, test_stream[:400])
 
         assert decisions_json(got) == decisions_json(expect)
         attributed = [r for r in obs.audit.records
@@ -100,7 +102,7 @@ class TestAuditAgreement:
     def test_every_row_decision_is_audited(self, cordial, test_stream):
         obs = make_obs()
         service = CordialService(cordial, obs=obs)
-        _, decisions = serve_stream(service, test_stream)
+        decisions = serve_all(service, test_stream)
 
         audited = obs.audit.records
         assert len(audited) == len(decisions)
@@ -133,7 +135,7 @@ class TestAuditAgreement:
                                                 test_stream):
         obs = make_obs()
         service = CordialService(cordial, obs=obs)
-        serve_stream(service, test_stream)
+        serve_all(service, test_stream)
 
         counts = obs.journal.summary()["counts_by_type"]
         assert counts.get("trigger", 0) == service.stats.triggers_fired
@@ -167,24 +169,56 @@ class TestCheckpointV3:
     def test_midstream_restore_with_obs_matches_clean_run(
             self, cordial, test_stream, truth, tmp_path):
         plain = CordialService(cordial)
-        _, expect = serve_stream(plain, test_stream)
+        expect = serve_all(plain, test_stream)
 
-        obs = make_obs()
-        service = CordialService(cordial, obs=obs)
-        service, got = serve_stream(
-            service, test_stream,
-            checkpoint_path=str(tmp_path / "mid.ckpt.json"),
-            checkpoint_at=len(test_stream) // 2)
+        obs_dir = tmp_path / "obs"
+        engine = ShardedCordialEngine(cordial, 1, obs_dir=str(obs_dir))
+        try:
+            engine, outcome = serve_stream_sharded(
+                engine, test_stream,
+                checkpoint_dir=str(tmp_path / "mid.ckpt"),
+                checkpoint_at=len(test_stream) // 2)
+        finally:
+            engine.close()
 
-        assert decisions_json(got) == decisions_json(expect)
-        assert service.coverage(truth) == plain.coverage(truth)
-        # The journal recorded the restart, and the audit kept growing
-        # past it on the same live bundle.
-        kinds = [e["kind"] for e in obs.journal.events
-                 if e["type"] == "checkpoint"]
-        assert kinds == ["save", "restore"]
-        assert service.obs is obs
-        assert len(obs.audit.records) == len(got)
+        assert decisions_json(outcome.decisions) == decisions_json(expect)
+        assert outcome.service.coverage(truth) == plain.coverage(truth)
+
+        def checkpoint_kinds(directory):
+            _, events = read_journal(directory / JOURNAL_FILE)
+            return [e["kind"] for e in events if e["type"] == "checkpoint"]
+
+        # Each epoch journalled its side of the restart, and the final
+        # audit still holds the records taken before the checkpoint.
+        final = obs_dir / "epoch-01" / "shard-00"
+        assert checkpoint_kinds(obs_dir / "shard-00") == ["save"]
+        assert checkpoint_kinds(final) == ["restore"]
+        audit = AuditLog.read_jsonl(final / AUDIT_FILE)
+        assert len(audit) == len(outcome.decisions)
+
+    def test_observed_runs_write_identical_checkpoints(
+            self, cordial, test_stream, tmp_path, monkeypatch):
+        """Span durations stay out of checkpoint state: two observed
+        shards on the real clock checkpoint the same bytes, while their
+        exported metrics still carry the span histograms."""
+        monkeypatch.delenv("REPRO_FAKE_CLOCK", raising=False)
+        stream = test_stream[:300]
+        contents = []
+        for run in range(2):
+            spec = {"directory": str(tmp_path / f"obs{run}"),
+                    "provenance": {}, "attributions": False}
+            host = ShardHost(cordial, {"spares_per_bank": 64,
+                                       "max_skew": 0.0}, [0], spec)
+            host.batch(0, stream)
+            path = tmp_path / f"run{run}.ckpt.json"
+            save_service_checkpoint(host.services[0], path)
+            contents.append(path.read_bytes())
+            artifacts = host.finish()[0]["obs"]["artifacts"]
+            with open(artifacts["metrics"], encoding="utf-8") as handle:
+                histograms = json.load(handle)["histograms"]
+            span = histograms["trace.span_seconds{span=service.ingest}"]
+            assert span["count"] == len(stream)
+        assert contents[0] == contents[1]
 
     def test_restored_audit_keeps_answering(self, cordial, test_stream,
                                             tmp_path):

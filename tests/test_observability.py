@@ -9,7 +9,10 @@ Four pillars, four test groups:
 * the audit trail answers "why was this row spared" and survives its
   own JSONL and state-dict round-trips;
 * the Prometheus exposition is format-correct down to label escaping
-  and non-finite values.
+  and non-finite values;
+
+and the CLI round trip: ``serve-replay --obs`` prints the directories
+holding its final artifacts, and ``obs-report`` reads them.
 """
 
 import json
@@ -17,6 +20,7 @@ import math
 
 import pytest
 
+from repro.experiments import runner
 from repro.obs import (AUDIT_FILE, JOURNAL_FILE, SUMMARY_FILE, TRACE_FILE,
                        AuditLog, FakeClock, Observability, RunJournal,
                        SpanTracer, build_provenance, read_journal,
@@ -344,7 +348,7 @@ class TestObservabilityBundle:
     def test_create_and_export_writes_every_artifact(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("events").inc(4)
-        obs = Observability.create(tmp_path / "obs", metrics=registry,
+        obs = Observability.create(tmp_path / "obs",
                                    provenance={"git_sha": None},
                                    clock=FakeClock())
         with obs.tracer.span("work"):
@@ -369,3 +373,26 @@ class TestObservabilityBundle:
     def test_journal_shares_tracer_clock_by_default(self):
         obs = Observability(tracer=SpanTracer(clock=FakeClock()))
         assert obs.journal.clock is obs.tracer.clock
+
+
+class TestCLI:
+    def test_obs_report_reads_what_serve_replay_printed(self, tmp_path,
+                                                        capsys):
+        obs_dir = tmp_path / "obs_run"
+        output = tmp_path / "serve_metrics.json"
+        assert runner.main([
+            "serve-replay", "--scale", "0.05", "--seed", "3",
+            "--checkpoint", str(tmp_path / "service.ckpt"),
+            "--obs", str(obs_dir), "--output", str(output)]) == 0
+        prefix = "observability artifacts written to "
+        printed = [line[len(prefix):]
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(prefix)]
+        # The restart moved the final artifacts into the next epoch.
+        assert printed == [str(obs_dir / "epoch-01" / "shard-00")]
+
+        assert runner.main(["obs-report", printed[0], "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        report = json.loads(output.read_text())
+        assert summary["audit"]["records"] == \
+            report["summary"]["decisions_total"]

@@ -21,9 +21,10 @@ from repro.core.persistence import (load_service_checkpoint,
 from repro.core.pipeline import Cordial
 from repro.ml.persist import ModelPersistenceError
 from repro.experiments import runner
-from repro.experiments.serve import bounded_shuffle, build_report, serve_stream
+from repro.experiments.serve import bounded_shuffle, build_report
 from repro.hbm.address import DeviceAddress
 from repro.telemetry.events import ErrorRecord, ErrorType
+from tests.serve_helpers import serve_all
 
 
 def rec(seq, t, row, error_type=ErrorType.UER):
@@ -67,13 +68,13 @@ class TestReorderEquivalence:
         """(a): bounded disorder is invisible to the decision stream."""
         max_skew = 3600.0  # one stream-hour of tolerated disorder
         baseline = CordialService(cordial)
-        _, expect = serve_stream(baseline, test_stream)
+        expect = serve_all(baseline, test_stream)
 
         shuffled = bounded_shuffle(test_stream, max_skew, seed=5)
         assert [r.sequence for r in shuffled] != \
                [r.sequence for r in test_stream]  # shuffle actually shuffled
         service = CordialService(cordial, max_skew=max_skew)
-        _, got = serve_stream(service, shuffled)
+        got = serve_all(service, shuffled)
 
         assert decisions_json(got) == decisions_json(expect)
         assert service.collector.dead_letter_counts == {}
@@ -101,14 +102,16 @@ class TestCheckpointRestore:
                                       tmp_path):
         """(b): a restored service continues exactly where it left off."""
         baseline = CordialService(cordial, max_skew=120.0)
-        _, expect = serve_stream(baseline, test_stream)
+        expect = serve_all(baseline, test_stream)
 
         path = str(tmp_path / "service.ckpt.json")
+        half = len(test_stream) // 2
         fresh = CordialService(cordial, max_skew=120.0)
-        restored, got = serve_stream(fresh, test_stream,
-                                     checkpoint_path=path,
-                                     checkpoint_at=len(test_stream) // 2)
-        assert restored is not fresh  # the restart really happened
+        got = [d for record in test_stream[:half]
+               for d in fresh.ingest(record)]
+        save_service_checkpoint(fresh, path)
+        restored = load_service_checkpoint(path)
+        got += serve_all(restored, test_stream[half:])
 
         assert decisions_json(got) == decisions_json(expect)
         assert restored.replay.result(truth) == baseline.replay.result(truth)
@@ -168,7 +171,7 @@ class TestCheckpointRestore:
         contents = []
         for run in range(2):
             service = CordialService(cordial, max_skew=120.0)
-            serve_stream(service, test_stream)
+            serve_all(service, test_stream)
             path = tmp_path / f"run{run}.ckpt.json"
             save_service_checkpoint(service, str(path))
             contents.append(path.read_bytes())
@@ -182,7 +185,7 @@ class TestServeReplayReport:
         _, test = bank_split
         service = CordialService(cordial,
                                  spares_per_bank=cordial.spares_per_bank)
-        service, decisions = serve_stream(service, test_stream)
+        decisions = serve_all(service, test_stream)
         report = build_report(service, decisions, truth)
 
         batch = cordial.evaluate(small_dataset, test)
@@ -199,7 +202,7 @@ class TestServeReplayReport:
 
     def test_cli_smoke(self, tmp_path):
         output = tmp_path / "serve_metrics.json"
-        checkpoint = tmp_path / "ckpt.json"
+        checkpoint = tmp_path / "service.ckpt"
         code = runner.main([
             "serve-replay", "--scale", "0.08", "--seed", "11",
             "--max-skew", "600", "--shuffle",
@@ -214,5 +217,5 @@ class TestServeReplayReport:
         assert summary["decisions_total"] >= summary["triggers_fired"]
         assert 0.0 <= summary["icr"] <= 1.0
         assert report["config"]["checkpointed_at"] > 0
-        assert checkpoint.exists()
+        assert (checkpoint / "manifest.json").exists()
         assert "collector.events_ingested" in report["metrics"]["counters"]

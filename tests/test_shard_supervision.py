@@ -21,7 +21,8 @@ Locks down the supervision layer shipped with ``repro.serving.supervisor``:
     Prometheus exporter;
 plus the chaos-plumbing that rides along: ``plant_poison`` twin
 semantics, ``WorkerFault`` validation, plan round-trip of the new
-fields, supervised campaign runs, and CLI validation.
+fields, supervised campaign runs, and the CLI: validation, and
+supervision on the default one-shard fleet.
 """
 
 import dataclasses
@@ -40,7 +41,7 @@ from repro.chaos.plan import ChaosPlan, OperatorSpec
 from repro.core.online import CordialService
 from repro.core.pipeline import Cordial
 from repro.experiments import runner
-from repro.experiments.serve import bounded_shuffle, serve_stream
+from repro.experiments.serve import bounded_shuffle
 from repro.hbm.address import DeviceAddress
 from repro.obs.promexport import render_prometheus
 from repro.serving import (FAILURE_CRASH, FAILURE_HANG, FAILURE_PROTOCOL,
@@ -50,6 +51,7 @@ from repro.serving import (FAILURE_CRASH, FAILURE_HANG, FAILURE_PROTOCOL,
 from repro.telemetry.collector import REASON_POISON
 from repro.telemetry.events import ErrorRecord, ErrorType
 from repro.telemetry.metrics import MetricsRegistry
+from tests.serve_helpers import serve_all
 
 MAX_SKEW = 600.0
 
@@ -94,7 +96,7 @@ def truth(small_dataset, bank_split):
 @pytest.fixture(scope="module")
 def baseline(cordial, test_stream):
     service = CordialService(cordial, max_skew=MAX_SKEW)
-    service, decisions = serve_stream(service, test_stream)
+    decisions = serve_all(service, test_stream)
     return service, decisions
 
 
@@ -730,10 +732,22 @@ class TestChaosPlumbing:
 
 
 class TestCLI:
-    def test_supervise_requires_shards(self):
-        from repro.experiments.serve import run_serve_replay
-        with pytest.raises(ValueError, match="--supervise needs --shards"):
-            run_serve_replay(supervise=True)
+    def test_supervise_without_shards_serves_one_shard(self, tmp_path):
+        """Supervision needs no --shards: the default one-shard fleet runs
+        supervised, restarts nothing, and reports what an unsupervised
+        run reports."""
+        reports = {}
+        for name, extra in (("plain", []), ("supervised", ["--supervise"])):
+            output = tmp_path / f"{name}.json"
+            assert runner.main(["serve-replay", "--scale", "0.05",
+                                "--seed", "3", "--output", str(output),
+                                *extra]) == 0
+            reports[name] = json.loads(output.read_text())
+        supervised = reports["supervised"]
+        assert supervised["config"]["shards"] == 1
+        assert supervised["supervision"]["counters"][
+            "supervisor.restarts_total"] == 0
+        assert supervised["summary"] == reports["plain"]["summary"]
 
     @pytest.mark.parametrize("argv", [
         ["serve-replay", "--poison-threshold", "0"],
@@ -750,6 +764,5 @@ class TestCLI:
         ["chaos", "--worker-faults-per-run", "1"],
         ["chaos", "--poison-per-run", "1"],
     ])
-    def test_supervision_flags_need_shards(self, argv):
-        with pytest.raises(SystemExit, match="--shards"):
-            runner.main(argv)
+    def test_supervision_flags_default_to_one_shard(self, argv):
+        assert runner.build_parser().parse_args(argv).shards == 1

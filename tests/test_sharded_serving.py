@@ -30,13 +30,15 @@ from repro.core.persistence import (CheckpointCorruptionError,
                                     ModelPersistenceError)
 from repro.core.pipeline import Cordial
 from repro.experiments import runner
-from repro.experiments.serve import bounded_shuffle, build_report, serve_stream
+from repro.experiments.serve import bounded_shuffle, build_report
 from repro.hbm.address import DeviceAddress
+from repro.obs import AUDIT_FILE, AuditLog
 from repro.serving import (FleetRouter, ShardedCordialEngine,
                            load_fleet_manifest, merge_decisions,
                            serve_stream_sharded, shard_file_name,
                            shard_of_bank)
 from repro.telemetry.events import ErrorRecord, ErrorType
+from tests.serve_helpers import serve_all
 
 MAX_SKEW = 600.0
 
@@ -76,7 +78,7 @@ def truth(small_dataset, bank_split):
 @pytest.fixture(scope="module")
 def baseline(cordial, test_stream):
     service = CordialService(cordial, max_skew=MAX_SKEW)
-    service, decisions = serve_stream(service, test_stream)
+    decisions = serve_all(service, test_stream)
     return service, decisions
 
 
@@ -186,6 +188,54 @@ class TestFleetCheckpoint:
         decisions = merge_decisions(segments + [outcome.decisions])
         assert decisions_json(decisions) == decisions_json(expect)
 
+    def test_observed_restore_keeps_the_audit_trail(self, cordial,
+                                                    test_stream, baseline,
+                                                    tmp_path):
+        """The audit trail survives a resharded restore: every shard gets
+        its own banks' records back, and no decision loses its record."""
+        _, expect = baseline
+        obs_dir = tmp_path / "obs"
+        directory = str(tmp_path / "fleet.ckpt")
+        half = len(test_stream) // 2
+        engine = ShardedCordialEngine(cordial, 2, max_skew=MAX_SKEW,
+                                      obs_dir=str(obs_dir))
+        try:
+            for record in test_stream[:half]:
+                engine.submit(record)
+            engine.checkpoint(directory)
+            segments = engine.drain_segments()
+        finally:
+            engine.close()
+
+        successor = ShardedCordialEngine.restore(directory, n_shards=3,
+                                                 obs_dir=str(obs_dir))
+        try:
+            for record in test_stream[half:]:
+                successor.submit(record)
+            outcome = successor.finish()
+        finally:
+            successor.close()
+        decisions = merge_decisions(segments + [outcome.decisions])
+        assert decisions_json(decisions) == decisions_json(expect)
+        audited = 0
+        for shard_id in range(3):
+            audit = AuditLog.read_jsonl(
+                obs_dir / "epoch-01" / f"shard-{shard_id:02d}" / AUDIT_FILE)
+            assert all(shard_of_bank(tuple(r["bank_key"]), 3) == shard_id
+                       for r in audit.records)
+            assert [r["index"] for r in audit.records] == \
+                list(range(len(audit)))
+            audited += len(audit)
+        assert audited == len(decisions)
+        assert len(outcome.service.obs.audit) == len(decisions)
+
+        # An unobserved engine restores the same checkpoint without it.
+        unobserved = ShardedCordialEngine.restore(directory)
+        try:
+            assert "obs" not in unobserved.finish().service.state_dict()
+        finally:
+            unobserved.close()
+
     def test_corruption_taxonomy(self, cordial, test_stream, tmp_path):
         """(e): damage is CheckpointCorruptionError, honest version skew
         is ModelPersistenceError — same taxonomy as single-service."""
@@ -263,16 +313,17 @@ class TestRouter:
 
 
 class TestServingPathFixes:
-    def test_checkpoint_at_outside_stream_raises(self, cordial, test_stream):
-        service = CordialService(cordial, max_skew=MAX_SKEW)
-        with pytest.raises(ValueError, match="never fire"):
-            serve_stream(service, test_stream[:10],
-                         checkpoint_path="unused.ckpt.json",
-                         checkpoint_at=11)
-        with pytest.raises(ValueError, match="never fire"):
-            serve_stream(service, test_stream[:10],
-                         checkpoint_path="unused.ckpt.json",
-                         checkpoint_at=0)
+    def test_checkpoint_at_outside_stream_raises(self, cordial, test_stream,
+                                                 tmp_path):
+        engine = ShardedCordialEngine(cordial, 1, max_skew=MAX_SKEW)
+        try:
+            for checkpoint_at in (11, 0):
+                with pytest.raises(ValueError, match="never fire"):
+                    serve_stream_sharded(engine, test_stream[:10],
+                                         checkpoint_dir=str(tmp_path / "c"),
+                                         checkpoint_at=checkpoint_at)
+        finally:
+            engine.close()
 
     def test_sharded_checkpoint_at_outside_stream_raises(self, cordial,
                                                          test_stream,
@@ -328,6 +379,8 @@ class TestCLI:
         ["serve-replay", "--checkpoint-at", "0"],
         ["serve-replay", "--jobs", "-1"],
         ["chaos", "--shards", "0"],
+        ["chaos", "--runs", "0"],
+        ["chaos", "--max-events", "-5"],
     ])
     def test_bad_counts_are_rejected_by_the_parser(self, argv):
         with pytest.raises(SystemExit) as excinfo:

@@ -83,14 +83,6 @@ class TestMetricsRegistry:
         document = registry.as_dict()
         assert "dead_letters{reason=late}" in document["counters"]
 
-    def test_timer_observes_elapsed(self):
-        registry = MetricsRegistry()
-        with registry.timer("op_seconds"):
-            pass
-        histogram = registry.histogram("op_seconds")
-        assert histogram.count == 1
-        assert histogram.sum >= 0.0
-
     def test_as_dict_is_deterministic_json(self):
         def build():
             registry = MetricsRegistry()
@@ -105,8 +97,7 @@ class TestMetricsRegistry:
 
     def test_exclude_histograms(self):
         registry = MetricsRegistry()
-        with registry.timer("latency"):
-            pass
+        registry.histogram("latency").observe(0.25)
         assert "histograms" not in registry.as_dict(include_histograms=False)
 
     def test_restore_roundtrip(self):
