@@ -17,8 +17,11 @@ Subpackages, bottom-up (see docs/ARCHITECTURE.md):
 * :mod:`repro.analysis` — the paper's empirical study;
 * :mod:`repro.experiments` — one entry point per table/figure.
 
-Console scripts: ``cordial-repro`` (reproduce the paper's evaluation) and
-``repro-cli`` (the operator workflow over MCE log files).
+Console script: ``cordial-repro`` reproduces the paper's evaluation; its
+subcommands run the operator workflow over MCE log files (``generate``,
+``train``, ``evaluate``, ``analyze``, ``serve-replay --pipeline --log``)
+and the online serving harnesses (``serve-replay``, ``chaos``,
+``obs-report``).
 """
 
 __version__ = "1.0.0"

@@ -1,7 +1,7 @@
-"""CLI driving every experiment: ``cordial-repro [--scale S] [--seed N]
-[--jobs N]``.
+"""The ``cordial-repro`` console entry point.
 
-Runs E1-E7, prints each paper-vs-measured table, and (with ``--output``)
+With no subcommand, ``cordial-repro [--scale S] [--seed N] [--jobs N]``
+runs E1-E7, prints each paper-vs-measured table, and (with ``--output``)
 writes a combined report suitable for EXPERIMENTS.md.  With ``--jobs N``
 the independent experiments run concurrently on a DAG executor (the
 analysis experiments E1/E2/E5-E6/E7 have no cross-dependencies; E4 reuses
@@ -9,12 +9,25 @@ the models E3 trains) and dataset generation itself is sharded over worker
 processes.  Report content is identical for every ``jobs`` value — only
 the elapsed-time annotations differ.
 
-``cordial-repro serve-replay`` instead exercises the *online* path: it
-streams a generated fleet's test split through the fleet serving engine
-(one in-process shard by default; ``--shards N`` / ``--jobs N`` fan it
-out, with optional bounded shuffling, a mid-stream checkpoint/restart
-and shard supervision) and dumps a metrics JSON report — the serving
-smoke check CI archives as an artifact.
+The operator workflow over MCE log files:
+
+* ``generate`` — synthesise a fleet and write its MCE log;
+* ``train``    — train a pipeline from a log (bank pattern labels come
+  from the observational labeller over each bank's complete history —
+  no generator ground truth needed) and save it as JSON;
+* ``evaluate`` — split a log 7:3, train, score pattern/block/ICR
+  metrics, and write a markdown report;
+* ``analyze``  — run the empirical-study battery (Tables I-II, Figure 4
+  data) over a log.
+
+``cordial-repro serve-replay`` exercises the *online* path: it streams
+events through the fleet serving engine (one in-process shard by
+default; ``--shards N`` / ``--jobs N`` fan it out, with optional bounded
+shuffling, a mid-stream checkpoint/restart and shard supervision) and
+dumps a report of the decisions and metrics.  By default it generates a
+fleet, trains on its 70 % split and serves the test split — the serving
+smoke check CI archives as an artifact; ``--pipeline P --log L`` serves
+a whole log through a saved pipeline instead.
 
 ``cordial-repro chaos`` goes further: it runs a seeded fault-injection
 campaign (``repro.chaos``) against the same engine — stream
@@ -35,8 +48,10 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import List, Optional
 
+from repro.core.classifier import MODEL_NAMES
 from repro.experiments import fig3, fig4, table1, table2, table3, table4
 from repro.experiments.common import ExperimentContext
 from repro.experiments.dag import DagTask, execute_dag
@@ -47,7 +62,7 @@ SECTION_ORDER = ("E1", "E2", "E5/E6", "E7", "E3", "E4")
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for knobs that must be >= 1 (shards, jobs, offsets)."""
+    """Argparse type for counts that must be >= 1 (shards, jobs, runs...)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
@@ -128,11 +143,134 @@ def run_all(context: ExperimentContext, include_models: bool = True,
     return "\n".join(sections)
 
 
+def cmd_generate(args: argparse.Namespace) -> int:
+    """Synthesise a fleet and write its MCE log.
+
+    ``--jobs`` shards fault realisation over worker processes; the log is
+    bit-identical for any value (the dataset determinism contract).
+    """
+    from repro.datasets import FleetGenConfig, generate_fleet_dataset
+    from repro.telemetry.mcelog import write_mce_log
+
+    dataset = generate_fleet_dataset(FleetGenConfig(scale=args.scale),
+                                     seed=args.seed, jobs=args.jobs)
+    count = write_mce_log(dataset.store, args.output)
+    print(f"wrote {count:,} events ({len(dataset.uer_banks)} UER banks) "
+          f"to {args.output}")
+    return 0
+
+
+def _dataset_from_log(path: str):
+    """Wrap an MCE log into the dataset protocol ``Cordial`` trains on.
+
+    Every UER bank is labelled observationally from its complete history
+    (:func:`~repro.core.patterns.label_bank_pattern`), so no generator
+    ground truth is needed.
+    """
+    from repro.core.patterns import label_bank_pattern
+    from repro.datasets import FleetGenConfig
+    from repro.datasets.fleetgen import BankGroundTruth, FleetDataset
+    from repro.hbm.address import MicroLevel
+    from repro.telemetry.events import ErrorType
+    from repro.telemetry.mcelog import read_mce_log
+    from repro.telemetry.store import ErrorStore
+
+    store = ErrorStore(read_mce_log(path))
+    truth = {}
+    for bank in sorted(store.units_with(MicroLevel.BANK, ErrorType.UER)):
+        uers = store.uer_rows_of_bank(bank)
+        truth[bank] = BankGroundTruth(
+            bank_key=bank, fault_type=None,
+            pattern=label_bank_pattern([r.row for r in uers],
+                                       [r.column for r in uers]),
+            anchor_rows=(), cluster_width=0,
+            uer_row_sequence=tuple((r.timestamp, r.row) for r in uers))
+    return FleetDataset(config=FleetGenConfig(), seed=0, store=store,
+                        bank_truth=truth)
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    """Train Cordial from an MCE log and save the pipeline."""
+    from repro.core.persistence import save_cordial
+    from repro.core.pipeline import Cordial
+
+    dataset = _dataset_from_log(args.log)
+    banks = dataset.store.banks_with_min_uer_rows(args.trigger)
+    if len(banks) < 10:
+        print(f"error: only {len(banks)} banks reach {args.trigger} UER "
+              "rows; need at least 10 to train", file=sys.stderr)
+        return 1
+    mix = Counter(dataset.bank_truth[bank].pattern.value for bank in banks)
+    print(f"{len(banks)} trainable banks; label mix: "
+          + ", ".join(f"{name}={mix[name]}" for name in sorted(mix)))
+    cordial = Cordial(model_name=args.model, trigger_uer_rows=args.trigger,
+                      random_state=args.seed, n_jobs=args.jobs)
+    cordial.fit(dataset, banks)
+    save_cordial(cordial, args.output)
+    print(f"saved pipeline ({args.model}, threshold "
+          f"{cordial.predictor.effective_threshold:.2f}) to {args.output}")
+    return 0
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    """Split a log 7:3, train, evaluate, and write a markdown report."""
+    from repro.core.costmodel import CostParams
+    from repro.core.pipeline import Cordial, evaluate_neighbor_baseline
+    from repro.core.report import write_markdown_report
+    from repro.ml.selection import train_test_split_groups
+
+    dataset = _dataset_from_log(args.log)
+    banks = dataset.store.banks_with_min_uer_rows(args.trigger)
+    if len(banks) < 20:
+        print(f"error: only {len(banks)} trainable banks; need 20+",
+              file=sys.stderr)
+        return 1
+    train, test = train_test_split_groups(banks, test_fraction=0.3,
+                                          seed=args.seed)
+    cordial = Cordial(model_name=args.model, trigger_uer_rows=args.trigger,
+                      random_state=args.seed, n_jobs=args.jobs)
+    cordial.fit(dataset, train)
+    evaluation = cordial.evaluate(dataset, test)
+    baseline = evaluate_neighbor_baseline(dataset, test,
+                                          trigger_uer_rows=args.trigger)
+    path = write_markdown_report(evaluation, args.output,
+                                 baseline=baseline,
+                                 cost_params=CostParams(),
+                                 title=f"Cordial evaluation — {args.log}")
+    print(f"pattern weighted F1 {evaluation.pattern_weighted.f1:.3f}, "
+          f"block F1 {evaluation.block_scores.f1:.3f}, "
+          f"ICR {evaluation.icr.icr:.2%} "
+          f"(baseline {baseline.icr.icr:.2%})")
+    print(f"report written to {path}")
+    return 0
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    """Run the empirical-study battery over a log file."""
+    from repro.analysis.locality import (compute_locality_chisquare,
+                                         format_locality_curve)
+    from repro.analysis.sudden import (compute_sudden_uer_table,
+                                       format_sudden_table)
+    from repro.analysis.summary import (compute_dataset_summary,
+                                        format_summary_table)
+    from repro.telemetry.mcelog import read_mce_log
+    from repro.telemetry.store import ErrorStore
+
+    store = ErrorStore(read_mce_log(args.log))
+    print(format_sudden_table(compute_sudden_uer_table(store)))
+    print()
+    print(format_summary_table(compute_dataset_summary(store)))
+    print()
+    print(format_locality_curve(compute_locality_chisquare(store)))
+    return 0
+
+
 def cmd_serve_replay(args: argparse.Namespace) -> int:
-    """Stream a generated fleet through the online service; dump metrics."""
+    """Stream a fleet or a log through the online service; dump a report."""
     from repro.experiments.serve import run_serve_replay
 
     report = run_serve_replay(
+        pipeline_path=args.pipeline, log_path=args.log,
         scale=args.scale, seed=args.seed, model_name=args.model,
         max_skew=args.max_skew, shuffle=args.shuffle,
         shuffle_seed=args.shuffle_seed, jobs=args.jobs,
@@ -313,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fleet scale (1.0 = paper magnitude)")
     parser.add_argument("--seed", type=int, default=0,
                         help="generator seed")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker parallelism for dataset generation and "
                              "the experiment DAG (results are identical for "
                              "any value)")
@@ -325,15 +463,54 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the report to this file")
 
     sub = parser.add_subparsers(dest="command")
+    g = sub.add_parser("generate", help="synthesise a fleet MCE log")
+    g.add_argument("--scale", type=float, default=0.25)
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes for fault realisation "
+                        "(output is identical for any value)")
+    g.add_argument("--output", required=True)
+    g.set_defaults(func=cmd_generate)
+
+    t = sub.add_parser("train", help="train Cordial from an MCE log")
+    t.add_argument("--log", required=True)
+    t.add_argument("--output", required=True,
+                   help="where to save the pipeline JSON")
+    t.set_defaults(func=cmd_train)
+    e = sub.add_parser("evaluate", help="train+evaluate over a log and "
+                       "write a markdown report")
+    e.add_argument("--log", required=True)
+    e.add_argument("--output", default="cordial_report.md")
+    e.set_defaults(func=cmd_evaluate)
+    for p in (t, e):
+        p.add_argument("--model", default="Random Forest",
+                       choices=MODEL_NAMES)
+        p.add_argument("--trigger", type=_positive_int, default=3)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes for model training "
+                            "(results are identical for any value)")
+
+    a = sub.add_parser("analyze", help="empirical study over a log")
+    a.add_argument("--log", required=True)
+    a.set_defaults(func=cmd_analyze)
+
     p = sub.add_parser(
         "serve-replay",
-        help="stream a generated fleet through the online fleet serving "
-             "engine and dump a metrics JSON report")
+        help="stream a generated fleet (or --pipeline/--log: a whole log "
+             "through a saved pipeline) through the online fleet serving "
+             "engine and dump a decisions/metrics JSON report")
+    p.add_argument("--pipeline", type=str, default=None,
+                   help="saved pipeline JSON to serve with (with --log; "
+                        "replaces --scale/--seed/--model)")
+    p.add_argument("--log", type=str, default=None,
+                   help="MCE log to serve, whole and in file order "
+                        "(with --pipeline)")
     p.add_argument("--scale", type=float, default=0.12,
                    help="fleet scale of the served dataset")
     p.add_argument("--seed", type=int, default=42, help="generator seed")
     p.add_argument("--model", default="LightGBM",
-                   choices=["Random Forest", "XGBoost", "LightGBM"])
+                   choices=MODEL_NAMES)
     p.add_argument("--max-skew", type=float, default=0.0, dest="max_skew",
                    help="reorder-buffer window in stream seconds")
     p.add_argument("--shuffle", action="store_true",
@@ -398,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fleet scale of the served dataset")
     c.add_argument("--seed", type=int, default=11, help="generator seed")
     c.add_argument("--model", default="LightGBM",
-                   choices=["Random Forest", "XGBoost", "LightGBM"])
+                   choices=MODEL_NAMES)
     c.add_argument("--runs", type=_positive_int, default=20,
                    help="chaos runs in the campaign")
     c.add_argument("--campaign-seed", type=int, default=0,
@@ -419,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--shards", type=_positive_int, default=1,
                    help="bank-key shards of every chaos run's fleet "
                         "engine (kill points restart the whole fleet)")
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=_positive_int, default=1)
     c.add_argument("--engine-jobs", type=_positive_int, default=1,
                    dest="engine_jobs",
                    help="worker processes per chaos engine "
@@ -462,10 +639,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``cordial-repro`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "func", None) is not None:
+    if args.command == "serve-replay" and (
+            (args.pipeline is None) != (args.log is None)):
+        parser.error("serve-replay: --pipeline and --log go together")
+    if args.command is not None:
         return args.func(args)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
     context = ExperimentContext(scale=args.scale, seed=args.seed,
                                 jobs=args.jobs)

@@ -1,14 +1,17 @@
-"""Streaming serve-replay harness: drive the fleet engine over a fleet.
+"""Streaming serve-replay harness: drive the fleet engine over a stream.
 
-``cordial-repro serve-replay`` generates a fleet, trains a pipeline on
-the 70 % bank split, then streams the 30 % test split event by event
-through a :class:`~repro.serving.engine.ShardedCordialEngine` — one
-in-process shard by default — optionally shuffled within a skew bound,
-optionally checkpointed and restarted halfway, optionally supervised,
-and dumps a metrics JSON report.  The engine is bit-identical to one
-:class:`~repro.core.online.CordialService` for any shard count
-(``tests/test_sharded_serving.py``), and the report's trigger and
-decision counts match ``Cordial.evaluate`` on the same data
+``cordial-repro serve-replay`` either generates a fleet, trains a
+pipeline on the 70 % bank split and serves the 30 % test split
+(:func:`prepare_serving_run`), or serves a whole MCE log through a
+saved pipeline (:func:`load_serving_run`, ``--pipeline P --log L``).
+Either way the stream goes event by event through a
+:class:`~repro.serving.engine.ShardedCordialEngine` — one in-process
+shard by default — optionally shuffled within a skew bound, optionally
+checkpointed and restarted halfway, optionally supervised, and the run
+dumps a JSON report of the decisions and metrics.  The engine is
+bit-identical to one :class:`~repro.core.online.CordialService` for any
+shard count (``tests/test_sharded_serving.py``), and the report's
+trigger and decision counts match ``Cordial.evaluate`` on the same data
 (``tests/test_serving_equivalence.py``), so the serving path can be
 smoke-checked in CI without a separate ground-truth harness.
 """
@@ -21,14 +24,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.online import CordialService, Decision
+from repro.core.persistence import load_cordial
 from repro.core.pipeline import Cordial
 from repro.datasets import FleetGenConfig, generate_fleet_dataset
+from repro.hbm.address import MicroLevel
 from repro.ml.selection import train_test_split_groups
 from repro.obs import build_provenance
 from repro.obs.tracer import resolve_clock
 from repro.serving import (ShardedCordialEngine, SupervisorConfig,
                            serve_stream_sharded)
-from repro.telemetry.events import ErrorRecord
+from repro.telemetry.events import ErrorRecord, ErrorType
+from repro.telemetry.mcelog import read_mce_log
+from repro.telemetry.store import ErrorStore
 
 #: Split seed matching the test-suite convention (`tests/conftest.py`).
 SPLIT_SEED = 7
@@ -166,7 +173,29 @@ def prepare_serving_run(scale: float = 0.12, seed: int = 42,
     return cordial, stream, truth, meta
 
 
-def run_serve_replay(scale: float = 0.12, seed: int = 42,
+def load_serving_run(pipeline_path: str, log_path: str
+                     ) -> Tuple[Cordial, List[ErrorRecord], Dict, dict]:
+    """Load a saved pipeline and an MCE log to serve through it.
+
+    Returns the same ``(cordial, stream, truth, meta)`` tuple as
+    :func:`prepare_serving_run`: ``stream`` is the whole log in file
+    order and ``truth`` is each UER bank's ``(first_uer_time, row)``
+    sequence as the log records it.
+    """
+    cordial = load_cordial(pipeline_path)
+    stream = read_mce_log(log_path)
+    store = ErrorStore(stream)
+    truth = {bank: tuple((r.timestamp, r.row)
+                         for r in store.uer_rows_of_bank(bank))
+             for bank in sorted(store.units_with(MicroLevel.BANK,
+                                                 ErrorType.UER))}
+    meta = {"uer_banks": len(truth)}
+    return cordial, stream, truth, meta
+
+
+def run_serve_replay(pipeline_path: Optional[str] = None,
+                     log_path: Optional[str] = None,
+                     scale: float = 0.12, seed: int = 42,
                      model_name: str = "LightGBM", max_skew: float = 0.0,
                      shuffle: bool = False, shuffle_seed: int = 0,
                      spares_per_bank: int = 64, jobs: int = 1,
@@ -178,7 +207,7 @@ def run_serve_replay(scale: float = 0.12, seed: int = 42,
                      supervise: bool = False, max_restarts: int = 3,
                      batch_timeout: float = 30.0, poison_threshold: int = 2,
                      snapshot_every: int = 8) -> dict:
-    """Generate, train, stream, and report — the full serve-replay run.
+    """Prepare a stream, serve it, and report — the full serve-replay run.
 
     The merged fleet service is a real :class:`CordialService`, so
     :func:`build_report` runs on it unchanged; only the metrics block is
@@ -188,6 +217,11 @@ def run_serve_replay(scale: float = 0.12, seed: int = 42,
     counts modulo the timing block.
 
     Args:
+        pipeline_path, log_path: serve the whole log at ``log_path``
+            through the pipeline saved at ``pipeline_path`` (both or
+            neither); by default a fleet of ``scale``/``seed`` is
+            generated, a ``model_name`` pipeline trained on its 70 %
+            split, and the test split served.
         shards: bank-key shards of the fleet engine, served by ``jobs``
             worker processes (one shard in-process by default).
             Decisions, ICR, and the merged metrics document are
@@ -213,26 +247,31 @@ def run_serve_replay(scale: float = 0.12, seed: int = 42,
         audit_attributions: record per-feature attributions for every
             flagged block in the audit trail (slow; implies ``obs_dir``).
     """
-    cordial, stream, truth, meta = prepare_serving_run(
-        scale=scale, seed=seed, model_name=model_name, jobs=jobs)
+    if pipeline_path is not None:
+        cordial, stream, truth, meta = load_serving_run(pipeline_path,
+                                                        log_path)
+        config = {"pipeline": pipeline_path, "log": log_path}
+        seeds = {}
+    else:
+        cordial, stream, truth, meta = prepare_serving_run(
+            scale=scale, seed=seed, model_name=model_name, jobs=jobs)
+        config = {"scale": scale, "seed": seed, "model_name": model_name}
+        seeds = {"generator": seed, "split": SPLIT_SEED}
     if shuffle:
         stream = bounded_shuffle(stream, max_skew, seed=shuffle_seed)
     if checkpoint_path is not None and checkpoint_at is None:
         checkpoint_at = max(1, len(stream) // 2)
 
-    config = {
-        "scale": scale,
-        "seed": seed,
-        "model_name": model_name,
+    config.update(meta)
+    config.update({
         "max_skew": max_skew,
         "shuffle": shuffle,
         "shuffle_seed": shuffle_seed,
         "spares_per_bank": spares_per_bank,
-        "test_banks": meta["test_banks"],
         "stream_events": len(stream),
         "checkpointed_at": checkpoint_at if checkpoint_path else None,
         "shards": shards,
-    }
+    })
     supervisor = None
     if supervise:
         supervisor = SupervisorConfig(
@@ -248,9 +287,7 @@ def run_serve_replay(scale: float = 0.12, seed: int = 42,
     provenance = None
     if obs_dir is not None:
         provenance = build_provenance(
-            seeds={"generator": seed, "shuffle": shuffle_seed,
-                   "split": SPLIT_SEED},
-            config=config)
+            seeds={**seeds, "shuffle": shuffle_seed}, config=config)
     engine = ShardedCordialEngine(
         cordial, n_shards=shards, n_jobs=jobs,
         spares_per_bank=spares_per_bank, max_skew=max_skew,
@@ -268,6 +305,7 @@ def run_serve_replay(scale: float = 0.12, seed: int = 42,
     report = build_report(outcome.service, outcome.decisions, truth,
                           config=config, timing=timing)
     report["metrics"] = outcome.metrics
+    report["decisions"] = [d.to_obj() for d in outcome.decisions]
     if engine.supervisor_metrics is not None:
         # Coordinator-side supervision counters live outside the merged
         # registry so the merged metrics stay byte-identical under

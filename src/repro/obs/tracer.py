@@ -195,15 +195,3 @@ class SpanTracer:
                 event["args"] = dict(span.attrs)
             events.append(event)
         return events
-
-    def durations_into(self, registry: MetricsRegistry) -> None:
-        """Fold the *retained* spans' durations into ``registry``.
-
-        Useful when the tracer was built without a live registry; the
-        live path (``metrics=`` at construction) records every span,
-        including ones the ring buffer has since dropped.
-        """
-        for span in self._spans:
-            registry.histogram("trace.span_seconds",
-                               labels={"span": span.name}
-                               ).observe(span.duration)

@@ -64,8 +64,9 @@ class FleetOutcome:
         stats: the merged :class:`ServiceStats` document.
         metrics: the merged counters export document (gauges/histograms
             dropped — they have no shard-count-invariant meaning).
-        obs: per-shard observability blocks plus fleet roll-up, when the
-            engine ran observed.
+        obs: per-shard observability blocks (each shard's summary carries
+            its own journal and audit counts), when the engine ran
+            observed.
     """
 
     decisions: List[Decision]
@@ -598,19 +599,7 @@ class ShardedCordialEngine:
                                  spares_per_bank=self.spares_per_bank,
                                  max_skew=self.max_skew)
         service.load_state_dict(merged_state)
-        obs = None
-        if obs_blocks:
-            obs = {
-                "shards": obs_blocks,
-                "merged": {
-                    "journal_events_total": sum(
-                        block["summary"]["journal"]["events_journalled"]
-                        for block in obs_blocks.values()),
-                    "audit_records_total": sum(
-                        block["summary"]["audit"]["records"]
-                        for block in obs_blocks.values()),
-                },
-            }
+        obs = {"shards": obs_blocks} if obs_blocks else None
         if self._sup_obs is not None:
             artifacts = self._sup_obs.export(
                 os.path.join(self._obs_base, "supervisor"),

@@ -44,7 +44,7 @@ replay — no decision is ever lost or duplicated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.online import Decision

@@ -1,11 +1,13 @@
-"""End-to-end tests of the operator CLI (generate -> train -> predict ->
-analyze), all through real files."""
+"""End-to-end tests of the operator workflow over MCE log files
+(generate -> train -> serve-replay --pipeline --log -> evaluate ->
+analyze), all through real files and the ``cordial-repro`` entry point."""
 
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.experiments.runner import main
+from tests.serve_helpers import serve_all
 
 
 @pytest.fixture(scope="module")
@@ -55,25 +57,35 @@ class TestTrain:
         if code != 0:
             assert "error" in capsys.readouterr().err
 
+    def test_pipeline_file_deterministic(self, fleet_log, pipeline_file,
+                                         tmp_path):
+        again = tmp_path / "again.json"
+        assert main(["train", "--log", str(fleet_log), "--output",
+                     str(again), "--model", "LightGBM"]) == 0
+        assert again.read_bytes() == pipeline_file.read_bytes()
 
-class TestPredict:
-    def test_human_output(self, fleet_log, pipeline_file, capsys):
-        assert main(["predict", "--pipeline", str(pipeline_file),
-                     "--log", str(fleet_log)]) == 0
-        out = capsys.readouterr().out
-        assert "->" in out
-        assert "spare" in out
 
-    def test_json_output(self, fleet_log, pipeline_file, capsys):
-        assert main(["predict", "--pipeline", str(pipeline_file),
-                     "--log", str(fleet_log), "--json"]) == 0
-        decisions = json.loads(capsys.readouterr().out)
-        assert decisions
-        for decision in decisions:
-            assert decision["action"] in ("row-spare", "bank-spare")
-            assert decision["pattern"]
-            if decision["action"] == "bank-spare":
-                assert decision["rows"] == []
+class TestServeLog:
+    def test_decisions_match_a_plain_service(self, fleet_log, pipeline_file,
+                                             tmp_path):
+        from repro.core.online import CordialService
+        from repro.core.persistence import load_cordial
+        from repro.telemetry.mcelog import read_mce_log
+
+        output = tmp_path / "serve.json"
+        assert main(["serve-replay", "--pipeline", str(pipeline_file),
+                     "--log", str(fleet_log), "--output", str(output)]) == 0
+        report = json.loads(output.read_text())
+        assert report["config"]["pipeline"] == str(pipeline_file)
+        assert report["config"]["log"] == str(fleet_log)
+        assert "scale" not in report["config"]
+
+        service = CordialService(load_cordial(pipeline_file))
+        expected = serve_all(service, read_mce_log(fleet_log))
+        assert report["decisions"] == [d.to_obj() for d in expected]
+        assert report["summary"]["triggers_fired"] == sum(
+            1 for d in expected if not d.is_reprediction)
+        assert expected
 
 
 class TestEvaluate:

@@ -120,15 +120,6 @@ class TestSpanTracer:
         outer = next(e for e in events if e["name"] == "outer")
         assert outer["args"] == {"bank": 3}
 
-    def test_durations_into_backfills_registry(self):
-        tracer = SpanTracer(clock=FakeClock())
-        self._run_workload(tracer)
-        registry = MetricsRegistry()
-        tracer.durations_into(registry)
-        outer = registry.histogram("trace.span_seconds",
-                                   labels={"span": "outer"})
-        assert outer.count == 1
-
 
 class TestRunJournal:
     def test_provenance_header_round_trips(self, tmp_path):

@@ -381,6 +381,10 @@ class TestCLI:
         ["chaos", "--shards", "0"],
         ["chaos", "--runs", "0"],
         ["chaos", "--max-events", "-5"],
+        ["--jobs", "0"],
+        ["chaos", "--jobs", "0"],
+        ["train", "--log", "x", "--output", "y", "--trigger", "0"],
+        ["serve-replay", "--pipeline", "p.json"],
     ])
     def test_bad_counts_are_rejected_by_the_parser(self, argv):
         with pytest.raises(SystemExit) as excinfo:
