@@ -6,13 +6,14 @@ clean stream, and supervised with one injected worker crash — and
 records throughputs plus the supervision overhead to a
 ``BENCH_supervision.json`` artifact.  The claims under test:
 
-* supervision on a healthy stream is near-free — the batch logging and
-  periodic baseline snapshots must cost less than
-  ``REPRO_PERF_SUPERVISION_MAX_OVERHEAD`` (default 10 %) of the
-  unsupervised run's wall clock;
+* supervision on a healthy stream is near-free — between fleet
+  checkpoints it only logs each dispatched batch for replay, and that
+  must cost less than ``REPRO_PERF_SUPERVISION_MAX_OVERHEAD`` (default
+  10 %) of the unsupervised run's wall clock;
 * a worker crash mid-stream recovers to the *identical* decision log
   (the recovery price is reported, not bounded — it is dominated by the
-  replay length, a policy knob).
+  replay length: every batch since the last checkpoint, here the
+  stream's start).
 
 Engine construction happens outside the timed window on both sides:
 the claim is steady-state serving throughput, not cold start.
@@ -56,8 +57,7 @@ def test_supervision_overhead(context):
     stream = bounded_shuffle(
         [r for r in context.dataset.store if r.bank_key in test_set],
         MAX_SKEW, seed=1)
-    config = SupervisorConfig(max_restarts=3, snapshot_every=8,
-                              backoff_base=0.0)
+    config = SupervisorConfig(max_restarts=3, backoff_base=0.0)
 
     # Untimed warmup: pay one-time lazy-init costs (feature caches,
     # booster state) before the comparison, so the first timed engine
@@ -94,7 +94,6 @@ def test_supervision_overhead(context):
         "events": len(stream),
         "decisions": len(plain.decisions),
         "n_shards": N_SHARDS,
-        "snapshot_every": config.snapshot_every,
         "unsupervised_s": round(t_plain, 3),
         "supervised_clean_s": round(t_clean, 3),
         "supervised_crash_s": round(t_crash, 3),

@@ -159,8 +159,7 @@ def run_one(cordial: Cordial, stream: Sequence[ErrorRecord],
         perturbed, twin, planted = plant_poison(perturbed, poison_positions)
         supervisor_config = SupervisorConfig(
             max_restarts=(2 * planted + len(worker_faults) + 4),
-            batch_timeout=5.0, snapshot_every=8, poison_threshold=2,
-            backoff_base=0.0)
+            batch_timeout=5.0, poison_threshold=2, backoff_base=0.0)
 
     checkpoint_dir = os.path.join(workdir, f"chaos-run-{run_index}.fleet")
     engine = ShardedCordialEngine(cordial, shards, n_jobs=engine_jobs,

@@ -69,6 +69,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """Argparse type for budgets that may be 0 (restarts)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _experiment_tasks(context: ExperimentContext, include_models: bool,
                       include_examples: bool) -> List[DagTask]:
     """The experiment DAG: analysis tasks are independent; E4 needs E3."""
@@ -279,8 +287,7 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
         audit_attributions=args.audit_attributions,
         supervise=args.supervise, max_restarts=args.max_restarts,
         batch_timeout=args.batch_timeout,
-        poison_threshold=args.poison_threshold,
-        snapshot_every=args.snapshot_every)
+        poison_threshold=args.poison_threshold)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -545,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "crash detection, "
                         "deterministic restart, poison quarantine, "
                         "degraded failover — output stays byte-identical")
-    p.add_argument("--max-restarts", type=int, default=3,
+    p.add_argument("--max-restarts", type=_non_negative_int, default=3,
                    dest="max_restarts",
                    help="per-worker restart budget before degraded "
                         "failover (with --supervise)")
@@ -557,10 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="poison_threshold",
                    help="kills by the same batch before the supervisor "
                         "bisects for a poison record (with --supervise)")
-    p.add_argument("--snapshot-every", type=_positive_int, default=8,
-                   dest="snapshot_every",
-                   help="batches between supervisor replay snapshots "
-                        "(with --supervise)")
     p.add_argument("--audit-attributions", action="store_true",
                    dest="audit_attributions",
                    help="record per-feature attributions for every "

@@ -205,8 +205,8 @@ def run_serve_replay(pipeline_path: Optional[str] = None,
                      obs_dir: Optional[str] = None,
                      audit_attributions: bool = False,
                      supervise: bool = False, max_restarts: int = 3,
-                     batch_timeout: float = 30.0, poison_threshold: int = 2,
-                     snapshot_every: int = 8) -> dict:
+                     batch_timeout: float = 30.0,
+                     poison_threshold: int = 2) -> dict:
     """Prepare a stream, serve it, and report — the full serve-replay run.
 
     The merged fleet service is a real :class:`CordialService`, so
@@ -236,8 +236,7 @@ def run_serve_replay(pipeline_path: Optional[str] = None,
             poison records quarantined, and exhausted shards failed over
             to in-process execution — with output still byte-identical.
             ``max_restarts`` / ``batch_timeout`` / ``poison_threshold``
-            / ``snapshot_every`` tune the policy; the report gains a
-            ``supervision`` counters block.
+            tune the policy; the report gains a ``supervision`` block.
         obs_dir: when given, every shard writes its observability
             artifacts (journal, trace, audit trail, metrics, Prometheus
             exposition, summary) under ``obs_dir/shard-NN`` — under
@@ -276,13 +275,11 @@ def run_serve_replay(pipeline_path: Optional[str] = None,
     if supervise:
         supervisor = SupervisorConfig(
             max_restarts=max_restarts, batch_timeout=batch_timeout,
-            poison_threshold=poison_threshold,
-            snapshot_every=snapshot_every)
+            poison_threshold=poison_threshold)
         config["supervise"] = {
             "max_restarts": max_restarts,
             "batch_timeout": batch_timeout,
             "poison_threshold": poison_threshold,
-            "snapshot_every": snapshot_every,
         }
     provenance = None
     if obs_dir is not None:

@@ -168,6 +168,20 @@ def _class_node_histograms(binned_node: np.ndarray, y_node: np.ndarray,
     return weights, counts
 
 
+def _occupied_thresholds(counts: np.ndarray) -> tuple:
+    """``(rows, thresholds)`` of the split candidates worth scoring.
+
+    A threshold ``t`` sends bins ``<= t`` left.  Only thresholds at a
+    feature's occupied bins are scored: an empty bin adds exactly 0.0 to
+    every prefix sum, so its gain repeats the previous threshold's bit
+    for bit and ``argmax`` (first occurrence) never lands on it, while an
+    empty bin 0 leaves the left child empty, which is never valid.  The
+    pairs come in (feature order, bin) order, so the first best candidate
+    is the one a scan over every bin would pick.
+    """
+    return np.nonzero(counts[:, :-1] > 0)
+
+
 def _best_gini_split(weights: np.ndarray, counts: np.ndarray,
                      features: np.ndarray, min_samples_leaf: int) -> tuple:
     """Best (feature, bin_threshold, gain) over candidate features.
@@ -178,32 +192,35 @@ def _best_gini_split(weights: np.ndarray, counts: np.ndarray,
     """
     sub_w = weights[features]            # (f, B, K)
     sub_c = counts[features]             # (f, B)
-    left_w = np.cumsum(sub_w, axis=1)[:, :-1, :]     # (f, B-1, K)
-    left_c = np.cumsum(sub_c, axis=1)[:, :-1]
+    rows, thresholds = _occupied_thresholds(sub_c)
+    left_w = np.cumsum(sub_w[:, :-1, :], axis=1)[rows, thresholds]  # (m, K)
+    left_c = np.cumsum(sub_c[:, :-1], axis=1)[rows, thresholds]
+    # Totals over the full-width rows: a narrower row would re-associate
+    # the pairwise sum and change the last bits.
     total_w = sub_w.sum(axis=1)                       # (f, K)
     total_c = sub_c.sum(axis=1)                       # (f,)
-    right_w = total_w[:, None, :] - left_w
-    right_c = total_c[:, None] - left_c
+    right_w = total_w[rows] - left_w
+    right_c = total_c[rows] - left_c
 
-    wl = left_w.sum(axis=2)
-    wr = right_w.sum(axis=2)
+    wl = left_w.sum(axis=1)
+    wr = right_w.sum(axis=1)
     w_tot = total_w.sum(axis=1)                       # (f,)
     # sum of squared class weights; gini decrease in "sum sq / W" form.
     with np.errstate(divide="ignore", invalid="ignore"):
-        score_left = np.square(left_w).sum(axis=2) / np.where(wl > 0, wl, 1.0)
-        score_right = np.square(right_w).sum(axis=2) / np.where(wr > 0, wr, 1.0)
+        score_left = np.square(left_w).sum(axis=1) / np.where(wl > 0, wl, 1.0)
+        score_right = np.square(right_w).sum(axis=1) / np.where(wr > 0, wr, 1.0)
         score_parent = (np.square(total_w).sum(axis=1)
                         / np.where(w_tot > 0, w_tot, 1.0))
-    gains = score_left + score_right - score_parent[:, None]
+    gains = score_left + score_right - score_parent[rows]
     valid = ((left_c >= min_samples_leaf)
              & (right_c >= min_samples_leaf)
              & (wl > 0) & (wr > 0))
     gains = np.where(valid, gains, -np.inf)
-    if not np.any(np.isfinite(gains)) or gains.size == 0:
+    if gains.size == 0 or not np.any(np.isfinite(gains)):
         return -1, -1, -np.inf
-    flat_best = int(np.argmax(gains))
-    f_local, threshold = divmod(flat_best, gains.shape[1])
-    return int(features[f_local]), int(threshold), float(gains[f_local, threshold])
+    best = int(np.argmax(gains))
+    return (int(features[rows[best]]), int(thresholds[best]),
+            float(gains[best]))
 
 
 def grow_classification_tree(binned: np.ndarray, y: np.ndarray,
@@ -275,22 +292,25 @@ def _best_newton_split(hist_g: np.ndarray, hist_h: np.ndarray,
     g = hist_g[features]
     h = hist_h[features]
     c = hist_c[features]
-    gl = np.cumsum(g, axis=1)[:, :-1]
-    hl = np.cumsum(h, axis=1)[:, :-1]
-    cl = np.cumsum(c, axis=1)[:, :-1]
+    rows, thresholds = _occupied_thresholds(c)
+    gl = np.cumsum(g[:, :-1], axis=1)[rows, thresholds]
+    hl = np.cumsum(h[:, :-1], axis=1)[rows, thresholds]
+    cl = np.cumsum(c[:, :-1], axis=1)[rows, thresholds]
+    # Totals over the full-width rows: a narrower row would re-associate
+    # the pairwise sum and change the last bits.
     g_tot = g.sum(axis=1)
     h_tot = h.sum(axis=1)
     c_tot = c.sum(axis=1)
-    gr = g_tot[:, None] - gl
-    hr = h_tot[:, None] - hl
-    cr = c_tot[:, None] - cl
+    gr = g_tot[rows] - gl
+    hr = h_tot[rows] - hl
+    cr = c_tot[rows] - cl
 
     lam = params.reg_lambda
     with np.errstate(divide="ignore", invalid="ignore"):
         parent = np.square(g_tot) / (h_tot + lam)
         gains = (np.square(gl) / (hl + lam)
                  + np.square(gr) / (hr + lam)
-                 - parent[:, None]) / 2.0 - params.gamma
+                 - parent[rows]) / 2.0 - params.gamma
     gains = np.where(np.isfinite(gains), gains, -np.inf)
     valid = ((cl >= params.min_samples_leaf)
              & (cr >= params.min_samples_leaf)
@@ -299,9 +319,9 @@ def _best_newton_split(hist_g: np.ndarray, hist_h: np.ndarray,
     gains = np.where(valid, gains, -np.inf)
     if gains.size == 0 or not np.any(np.isfinite(gains)):
         return -1, -1, -np.inf
-    flat_best = int(np.argmax(gains))
-    f_local, threshold = divmod(flat_best, gains.shape[1])
-    return int(features[f_local]), int(threshold), float(gains[f_local, threshold])
+    best = int(np.argmax(gains))
+    return (int(features[rows[best]]), int(thresholds[best]),
+            float(gains[best]))
 
 
 def _newton_leaf_value(grad_sum: float, hess_sum: float,

@@ -113,9 +113,6 @@ class _LocalWorker:
     def checkpoint(self) -> Dict[int, dict]:
         return self._guard("checkpoint", self._host.checkpoint)
 
-    def snapshot(self) -> Dict[int, dict]:
-        return self._guard("snapshot", self._host.snapshot)
-
     def finish(self) -> Dict[int, dict]:
         return self._guard("finish", self._host.finish)
 
@@ -218,9 +215,6 @@ class _ProcessWorker:
 
     def checkpoint(self) -> Dict[int, dict]:
         return self._ask(("checkpoint",), "checkpoint")
-
-    def snapshot(self) -> Dict[int, dict]:
-        return self._ask(("snapshot",), "snapshot")
 
     def finish(self) -> Dict[int, dict]:
         return self._ask(("finish",), "finish")
@@ -367,7 +361,6 @@ class ShardedCordialEngine:
             self._supervisor = ShardSupervisor(
                 supervisor, spawn=self._spawn_worker,
                 spawn_fallback=self._spawn_fallback,
-                on_segment=lambda segment: self._segments.append(segment),
                 on_poison=self._quarantine_poison,
                 metrics=self.supervisor_metrics, journal=journal, audit=audit)
             for worker, shard_ids in zip(self._workers, shard_ids_of):

@@ -16,15 +16,15 @@ for bit identical to an undisturbed run:
   written against the old surface keep working.
 * **deterministic restart with replay** — the supervisor holds, per
   worker slot, the last-known-good state of every owned shard (a
-  *baseline*, refreshed every ``snapshot_every`` batches and at every
-  fleet checkpoint) plus the ordered log of batches dispatched since.
-  Recovery respawns the worker, reloads the baselines, and replays the
-  log; shard state is a pure function of ``(baseline, batch sequence)``,
-  so the rebuilt shard is byte-identical no matter *when* the failure
-  was detected (OS pipe buffering may surface a crash at any later
-  interaction — harmless, because the log always covers the gap).
-  Backoff is attempt-indexed (``min(base * 2**attempt, cap)``) with no
-  wall-clock randomness.
+  *baseline*: the empty start, the state handed to :meth:`load` on a
+  restore, or the state of the last fleet checkpoint) plus the ordered
+  log of batches dispatched since.  Recovery respawns the worker,
+  reloads the baselines, and replays the log; shard state is a pure
+  function of ``(baseline, batch sequence)``, so the rebuilt shard is
+  byte-identical no matter *when* the failure was detected (OS pipe
+  buffering may surface a crash at any later interaction — harmless,
+  because the log always covers the gap).  Backoff is attempt-indexed
+  (``min(base * 2**attempt, cap)``) with no wall-clock randomness.
 * **poison-record quarantine** — a batch that kills its worker
   ``poison_threshold`` times is bisected (fresh worker per probe,
   smallest dying prefix) down to the offending record, which is removed
@@ -36,9 +36,15 @@ for bit identical to an undisturbed run:
   transition is counted in metrics and recorded in the run journal and
   audit trail.
 
-Decisions drained at a snapshot stay with the coordinator (they merge
-globally at ``finish``); everything after the snapshot is regenerated by
-replay — no decision is ever lost or duplicated.
+A healthy supervised run is fire-and-forget between fleet checkpoints:
+the supervisor takes no periodic state snapshot, because serialising a
+shard's whole state costs more than replaying the records it was built
+from.  The replay log therefore grows until the next baseline, and the
+``supervisor.replay_log_records`` gauge shows its current and peak size
+per slot.  Decision segments stay with the worker until ``checkpoint``
+or ``finish`` drains them to the coordinator (they merge globally at
+``finish``); everything after the last drain is regenerated by replay —
+no decision is ever lost or duplicated.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.online import Decision
 from repro.telemetry.events import ErrorRecord
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -67,7 +72,9 @@ FAULT_MODES = (FAULT_CRASH, FAULT_HANG, FAULT_GARBAGE)
 DEFAULT_BATCH_TIMEOUT = 30.0
 
 #: Batch-count buckets for the ``supervisor.recovery_batches`` histogram.
-RECOVERY_BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+#: A recovery replays every batch since the slot's last checkpoint, so
+#: the buckets reach well past a handful of batches.
+RECOVERY_BATCH_BUCKETS = tuple(float(2 ** k) for k in range(15))
 
 
 class ShardFailureError(RuntimeError):
@@ -109,8 +116,6 @@ class SupervisorConfig:
             fails over to an in-process fallback (degraded mode).
         batch_timeout: seconds a coordinator-side receive may wait
             before the worker is declared hung.
-        snapshot_every: batch dispatches per slot between baseline
-            snapshots (smaller = cheaper replay, more sync round-trips).
         poison_threshold: times the same logged batch may kill a worker
             before it is bisected for a poison record.
         backoff_base / backoff_cap: restart delay is
@@ -121,7 +126,6 @@ class SupervisorConfig:
 
     max_restarts: int = 3
     batch_timeout: float = DEFAULT_BATCH_TIMEOUT
-    snapshot_every: int = 8
     poison_threshold: int = 2
     backoff_base: float = 0.0
     backoff_cap: float = 2.0
@@ -131,8 +135,6 @@ class SupervisorConfig:
             raise ValueError("max_restarts must be >= 0")
         if self.batch_timeout <= 0.0:
             raise ValueError("batch_timeout must be > 0")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
         if self.poison_threshold < 1:
             raise ValueError("poison_threshold must be >= 1")
         if self.backoff_base < 0.0 or self.backoff_cap < 0.0:
@@ -141,7 +143,7 @@ class SupervisorConfig:
 
 @dataclass
 class _LoggedBatch:
-    """One dispatched batch, kept until the next baseline snapshot."""
+    """One dispatched batch, kept until the slot's next baseline."""
 
     serial: int
     shard_id: int
@@ -151,7 +153,8 @@ class _LoggedBatch:
 class _Slot:
     """Supervision state of one worker slot (one worker, >= 1 shards)."""
 
-    def __init__(self, index: int, worker, shard_ids: Sequence[int]) -> None:
+    def __init__(self, index: int, worker, shard_ids: Sequence[int],
+                 log_gauge) -> None:
         self.index = index
         self.worker = worker
         self.shard_ids = list(shard_ids)
@@ -160,7 +163,8 @@ class _Slot:
             shard_id: None for shard_id in self.shard_ids}
         #: ordered batches dispatched since the last baseline.
         self.log: List[_LoggedBatch] = []
-        self.batches_since_snapshot = 0
+        #: records in ``log`` (current value and high-water mark).
+        self.log_gauge = log_gauge
         self.restarts_used = 0
         self.attempts = 0          # backoff index (monotonic per slot)
         self.spawns = 0            # restart-NN obs directory suffix
@@ -185,8 +189,6 @@ class ShardSupervisor:
             file is never re-opened by a second writer).
         spawn_fallback: same signature; an in-process fallback worker
             for degraded mode.
-        on_segment: receives each drained decision segment (the engine
-            pools segments and merges globally at ``finish``).
         on_poison: ``on_poison(record, shard_id, detail)`` — quarantines
             one poison record into the coordinator dead-letter ledger.
         metrics: coordinator-level registry for the ``supervisor.*``
@@ -202,7 +204,6 @@ class ShardSupervisor:
     def __init__(self, config: SupervisorConfig, *,
                  spawn: Callable[[int, Sequence[int], int], object],
                  spawn_fallback: Callable[[int, Sequence[int], int], object],
-                 on_segment: Callable[[List[Decision]], None],
                  on_poison: Callable[[ErrorRecord, int, str], None],
                  metrics: MetricsRegistry,
                  journal=None, audit=None,
@@ -213,7 +214,6 @@ class ShardSupervisor:
         self.audit = audit
         self._spawn = spawn
         self._spawn_fallback = spawn_fallback
-        self._on_segment = on_segment
         self._on_poison = on_poison
         self._sleep = sleep
         self.slots: List[_Slot] = []
@@ -230,7 +230,10 @@ class ShardSupervisor:
     # -- registration --------------------------------------------------------
     def register(self, worker, shard_ids: Sequence[int]) -> _Slot:
         """Adopt one already-spawned worker as a supervised slot."""
-        slot = _Slot(len(self.slots), worker, shard_ids)
+        index = len(self.slots)
+        gauge = self.metrics.gauge("supervisor.replay_log_records",
+                                   labels={"slot": str(index)})
+        slot = _Slot(index, worker, shard_ids, gauge)
         self.slots.append(slot)
         for shard_id in slot.shard_ids:
             self._slot_of[shard_id] = slot
@@ -247,11 +250,12 @@ class ShardSupervisor:
             self._recover(slot, failure)
 
     def dispatch(self, shard_id: int, records: Sequence[ErrorRecord]) -> None:
-        """Log one batch, hand it to the worker, snapshot on cadence."""
+        """Log one batch and hand it to the worker (no reply awaited)."""
         slot = self._slot_of[shard_id]
         batch = _LoggedBatch(slot.next_serial, shard_id, list(records))
         slot.next_serial += 1
         slot.log.append(batch)
+        slot.log_gauge.inc(len(batch.records))
         if not self._fire_pending(slot, "batch"):
             # A fired fault already replayed the log (batch included);
             # sending it again would double-ingest.
@@ -259,9 +263,6 @@ class ShardSupervisor:
                 slot.worker.batch(shard_id, batch.records)
             except ShardFailureError as failure:
                 self._recover(slot, failure)
-        slot.batches_since_snapshot += 1
-        if slot.batches_since_snapshot >= self.config.snapshot_every:
-            self._snapshot(slot)
 
     def checkpoint_worker(self, slot: _Slot) -> Dict[int, dict]:
         """Checkpoint one slot; the checkpoint doubles as its baseline."""
@@ -330,19 +331,9 @@ class ShardSupervisor:
             worker_index=slot.index))
         return True
 
-    def _snapshot(self, slot: _Slot) -> None:
-        """Refresh the slot baseline; drained decisions go coordinator-side."""
-        payload = self._sync(slot, "snapshot", lambda: slot.worker.snapshot())
-        for shard_id in sorted(payload):
-            entry = payload[shard_id]
-            slot.baselines[shard_id] = entry["state"]
-            if entry["decisions"]:
-                self._on_segment(entry["decisions"])
-        self._reset_log(slot)
-
     def _reset_log(self, slot: _Slot) -> None:
         slot.log.clear()
-        slot.batches_since_snapshot = 0
+        slot.log_gauge.set(0.0)
         slot.kill_counts.clear()
 
     def _recover(self, slot: _Slot, failure: ShardFailureError) -> None:
@@ -429,6 +420,7 @@ class ShardSupervisor:
             else:
                 lo = mid + 1
         poison = batch.records.pop(lo - 1)
+        slot.log_gauge.inc(-1.0)
         if not batch.records:
             del slot.log[position]
         slot.kill_counts.pop(batch.serial, None)

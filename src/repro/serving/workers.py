@@ -110,22 +110,6 @@ class ShardHost:
             }
         return out
 
-    def snapshot(self) -> Dict[int, dict]:
-        """Supervision baseline: every shard's state dict + drained segment.
-
-        Lighter than :meth:`checkpoint` (no persistence document, no
-        journal event) — this is the supervisor's recovery point, not an
-        operator-visible checkpoint, and it must leave no trace a clean
-        run would lack.
-        """
-        out: Dict[int, dict] = {}
-        for shard_id in sorted(self.services):
-            out[shard_id] = {
-                "state": self.services[shard_id].state_dict(),
-                "decisions": self._drain(shard_id),
-            }
-        return out
-
     def finish(self) -> Dict[int, dict]:
         """Flush every shard and return its final segment + state (+obs)."""
         out: Dict[int, dict] = {}
@@ -160,7 +144,6 @@ def worker_main(conn) -> None:
         ("load", shard_id, state)
         ("batch", shard_id, [records...])          # no reply
         ("checkpoint",)  → ("checkpoint", {sid: {...}})
-        ("snapshot",)    → ("snapshot", {sid: {...}})
         ("finish",)      → ("finish", {sid: {...}})
         ("ping", token)  → ("pong", token)
         ("chaos", mode)                            # test-only fault hook
@@ -198,8 +181,6 @@ def worker_main(conn) -> None:
                 host.batch(message[1], message[2])
             elif kind == "checkpoint":
                 conn.send(("checkpoint", host.checkpoint()))
-            elif kind == "snapshot":
-                conn.send(("snapshot", host.snapshot()))
             elif kind == "finish":
                 conn.send(("finish", host.finish()))
             elif kind == "ping":

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml._binning import BinMapper
-from repro.ml._hist import (TreeParams, grow_classification_tree,
-                            grow_regression_tree)
+from repro.ml._hist import (TreeParams, _best_gini_split,
+                            _best_newton_split, _class_node_histograms,
+                            _newton_node_histograms,
+                            grow_classification_tree, grow_regression_tree)
 from repro.ml.tree import DecisionTreeClassifier
 
 
@@ -180,3 +182,109 @@ class TestRegressionGrower:
         sub_tree, _ = self._grow(X[:10], grad[:10], hess[:10])
         assert len(tree) > 1
         assert len(sub_tree) == 1
+
+
+def _full_width_gini_split(weights, counts, features, min_samples_leaf):
+    """Reference: score every threshold of every feature over all bins."""
+    sub_w = weights[features]
+    sub_c = counts[features]
+    left_w = np.cumsum(sub_w, axis=1)[:, :-1, :]
+    left_c = np.cumsum(sub_c, axis=1)[:, :-1]
+    total_w = sub_w.sum(axis=1)
+    total_c = sub_c.sum(axis=1)
+    right_w = total_w[:, None, :] - left_w
+    right_c = total_c[:, None] - left_c
+    wl = left_w.sum(axis=2)
+    wr = right_w.sum(axis=2)
+    w_tot = total_w.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score_left = np.square(left_w).sum(axis=2) / np.where(wl > 0, wl, 1.0)
+        score_right = np.square(right_w).sum(axis=2) / np.where(wr > 0, wr, 1.0)
+        score_parent = (np.square(total_w).sum(axis=1)
+                        / np.where(w_tot > 0, w_tot, 1.0))
+    gains = score_left + score_right - score_parent[:, None]
+    valid = ((left_c >= min_samples_leaf) & (right_c >= min_samples_leaf)
+             & (wl > 0) & (wr > 0))
+    gains = np.where(valid, gains, -np.inf)
+    if gains.size == 0 or not np.any(np.isfinite(gains)):
+        return -1, -1, -np.inf
+    f_local, threshold = divmod(int(np.argmax(gains)), gains.shape[1])
+    return (int(features[f_local]), int(threshold),
+            float(gains[f_local, threshold]))
+
+
+def _full_width_newton_split(hist_g, hist_h, hist_c, features, params):
+    """Reference: score every threshold of every feature over all bins."""
+    g, h, c = hist_g[features], hist_h[features], hist_c[features]
+    gl = np.cumsum(g, axis=1)[:, :-1]
+    hl = np.cumsum(h, axis=1)[:, :-1]
+    cl = np.cumsum(c, axis=1)[:, :-1]
+    g_tot, h_tot, c_tot = g.sum(axis=1), h.sum(axis=1), c.sum(axis=1)
+    gr = g_tot[:, None] - gl
+    hr = h_tot[:, None] - hl
+    cr = c_tot[:, None] - cl
+    lam = params.reg_lambda
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = np.square(g_tot) / (h_tot + lam)
+        gains = (np.square(gl) / (hl + lam) + np.square(gr) / (hr + lam)
+                 - parent[:, None]) / 2.0 - params.gamma
+    gains = np.where(np.isfinite(gains), gains, -np.inf)
+    valid = ((cl >= params.min_samples_leaf) & (cr >= params.min_samples_leaf)
+             & (hl >= params.min_child_weight)
+             & (hr >= params.min_child_weight))
+    gains = np.where(valid, gains, -np.inf)
+    if gains.size == 0 or not np.any(np.isfinite(gains)):
+        return -1, -1, -np.inf
+    f_local, threshold = divmod(int(np.argmax(gains)), gains.shape[1])
+    return (int(features[f_local]), int(threshold),
+            float(gains[f_local, threshold]))
+
+
+def _sparse_binned(rng, n, d, n_bins):
+    """Rows whose features each occupy a few scattered bins of ``n_bins``."""
+    columns = []
+    for _ in range(d):
+        occupied = rng.choice(n_bins, size=int(rng.integers(1, 6)),
+                              replace=False)
+        columns.append(rng.choice(occupied, size=n))
+    return np.stack(columns, axis=1).astype(np.uint8)
+
+
+class TestSplitScans:
+    """The growers score only occupied thresholds; a scan over every bin
+    of every feature must pick the same split with the same gain, bit for
+    bit (small-integer weights make exact ties common)."""
+
+    N_BINS = 40
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4))
+    def test_gini_matches_full_width_scan(self, seed, min_samples_leaf):
+        rng = np.random.default_rng(seed)
+        binned = _sparse_binned(rng, int(rng.integers(2, 30)), 5, self.N_BINS)
+        y = rng.integers(0, 3, size=binned.shape[0])
+        w = rng.integers(1, 3, size=binned.shape[0]).astype(float)
+        weights, counts = _class_node_histograms(binned, y, w, 3, self.N_BINS)
+        features = rng.choice(5, size=int(rng.integers(1, 6)), replace=False)
+        assert _best_gini_split(weights, counts, features,
+                                min_samples_leaf) == \
+            _full_width_gini_split(weights, counts, features, min_samples_leaf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4),
+           st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.5]))
+    def test_newton_matches_full_width_scan(self, seed, min_samples_leaf,
+                                            reg_lambda, min_child_weight):
+        rng = np.random.default_rng(seed)
+        binned = _sparse_binned(rng, int(rng.integers(2, 30)), 5, self.N_BINS)
+        grad = rng.choice([-1.0, -0.5, 0.5, 1.0], size=binned.shape[0])
+        hess = rng.choice([0.25, 1.0], size=binned.shape[0])
+        hist_g, hist_h, hist_c = _newton_node_histograms(
+            binned, grad, hess, self.N_BINS)
+        features = rng.choice(5, size=int(rng.integers(1, 6)), replace=False)
+        params = TreeParams(min_samples_leaf=min_samples_leaf,
+                            reg_lambda=reg_lambda,
+                            min_child_weight=min_child_weight)
+        assert _best_newton_split(hist_g, hist_h, hist_c, features,
+                                  params) == \
+            _full_width_newton_split(hist_g, hist_h, hist_c, features, params)

@@ -129,7 +129,7 @@ def run_fleet(cordial, stream, n_shards, n_jobs=1, **kwargs):
 
 
 def supervisor_config(**overrides):
-    defaults = dict(max_restarts=8, batch_timeout=30.0, snapshot_every=4,
+    defaults = dict(max_restarts=8, batch_timeout=30.0,
                     poison_threshold=2, backoff_base=0.0)
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
@@ -208,9 +208,9 @@ class TestFailureTaxonomy:
     @pytest.mark.parametrize("bad", [
         {"max_restarts": -1},
         {"batch_timeout": 0.0},
-        {"snapshot_every": 0},
         {"poison_threshold": 0},
         {"backoff_base": -0.1},
+        {"backoff_cap": -1.0},
     ])
     def test_config_validation(self, bad):
         with pytest.raises(ValueError):
@@ -327,6 +327,29 @@ class TestSupervisedEquivalence:
                           truth)
         assert engine.supervisor_metrics.counter_value(
             "supervisor.restarts_total") >= 1.0
+
+    def test_process_fleet_replays_from_the_start(self, cordial,
+                                                   test_stream, clean_fleet):
+        """No checkpoint, no snapshot: a crash late in the stream replays
+        every batch the slot has seen since the empty start, and the
+        4-shard process fleet still ends byte-identical to the
+        unsupervised run."""
+        schedule = [(3 * len(test_stream) // 4, 0, "crash")]
+        engine, outcome = run_supervised(
+            cordial, test_stream, 4, schedule, n_jobs=2, batch_size=16,
+            config=supervisor_config(batch_timeout=5.0))
+        clean = clean_fleet(4)
+        assert decisions_json(outcome.decisions) == \
+            decisions_json(clean.decisions)
+        assert outcome.stats == clean.stats
+        assert json.dumps(outcome.service.state_dict(), sort_keys=True) == \
+            json.dumps(clean.service.state_dict(), sort_keys=True)
+        metrics = engine.supervisor_metrics
+        assert metrics.counter_value("supervisor.restarts_total") == 1.0
+        replayed = metrics.as_dict()["histograms"][
+            "supervisor.recovery_batches"]
+        assert replayed["count"] == 1
+        assert replayed["sum"] >= 20
 
     def test_supervised_checkpoint_restart(self, cordial, test_stream,
                                            baseline, tmp_path):
@@ -452,12 +475,14 @@ class FakeWorker:
 
     def __init__(self, spawn_log, tag):
         self.ingested = {}
+        self.calls = []
         self.dead = False
         self.spawn_log = spawn_log
         self.tag = tag
         spawn_log.append(("spawn", tag))
 
     def _check(self, op):
+        self.calls.append(op)
         if self.dead:
             raise ShardFailureError(FAILURE_CRASH, op, "fake worker dead")
 
@@ -476,11 +501,6 @@ class FakeWorker:
 
     def ping(self):
         self._check("ping")
-
-    def snapshot(self):
-        self._check("snapshot")
-        return {shard_id: {"state": list(items), "decisions": []}
-                for shard_id, items in self.ingested.items()}
 
     def checkpoint(self):
         self._check("checkpoint")
@@ -516,7 +536,7 @@ class RecordingAudit:
 
 
 def make_supervisor(config, journal=None, audit=None):
-    spawn_log, segments, poisons, sleeps = [], [], [], []
+    spawn_log, poisons, sleeps = [], [], []
 
     def spawn(index, shard_ids, restart):
         return FakeWorker(spawn_log, ("primary", index, restart))
@@ -527,7 +547,6 @@ def make_supervisor(config, journal=None, audit=None):
     registry = MetricsRegistry()
     supervisor = ShardSupervisor(
         config, spawn=spawn, spawn_fallback=spawn_fallback,
-        on_segment=segments.append,
         on_poison=lambda record, shard_id, detail: poisons.append(
             (record, shard_id)),
         metrics=registry, journal=journal, audit=audit,
@@ -539,7 +558,7 @@ def make_supervisor(config, journal=None, audit=None):
 class TestSupervisorPolicy:
     def test_restart_replays_the_log(self):
         supervisor, slot, registry, _, _, _ = make_supervisor(
-            supervisor_config(snapshot_every=100))
+            supervisor_config())
         supervisor.dispatch(0, ["a", "b"])
         supervisor.inject_fault(0, "crash")  # pending: fires at next op
         supervisor.dispatch(0, ["c"])
@@ -548,8 +567,7 @@ class TestSupervisorPolicy:
 
     def test_backoff_schedule_is_attempt_indexed(self):
         supervisor, _, _, _, sleeps, _ = make_supervisor(
-            supervisor_config(snapshot_every=100, backoff_base=0.5,
-                              backoff_cap=2.0))
+            supervisor_config(backoff_base=0.5, backoff_cap=2.0))
         supervisor.dispatch(0, ["a"])
         supervisor.inject_fault(0, "crash")
         supervisor.dispatch(0, ["b"])
@@ -559,19 +577,19 @@ class TestSupervisorPolicy:
 
     def test_poison_is_bisected_out_and_quarantined(self):
         supervisor, slot, registry, poisons, _, _ = make_supervisor(
-            supervisor_config(snapshot_every=100, poison_threshold=2))
+            supervisor_config(poison_threshold=2))
         poison = Marker("p1")
         supervisor.dispatch(0, ["a", "b"])
         supervisor.dispatch(0, ["c", poison, "d"])
         assert poisons == [(poison, 0)]
         assert slot.worker.ingested[0] == ["a", "b", "c", "d"]
+        assert slot.log_gauge.value == 4.0
         assert registry.counter_value(
             "supervisor.poison_records_total") == 1.0
 
     def test_two_poison_records_in_one_batch(self):
         supervisor, slot, _, poisons, _, _ = make_supervisor(
-            supervisor_config(max_restarts=20, snapshot_every=100,
-                              poison_threshold=1))
+            supervisor_config(max_restarts=20, poison_threshold=1))
         first, second = Marker("p1"), Marker("p2")
         supervisor.dispatch(0, ["a", first, "b", second, "c"])
         assert poisons == [(first, 0), (second, 0)]
@@ -595,9 +613,36 @@ class TestSupervisorPolicy:
                                         action="degraded-failover",
                                         pattern=None)]
 
+    def test_healthy_run_makes_no_sync_call_before_finish(self):
+        """Between baselines a healthy slot is fire-and-forget: only
+        batches cross to the worker until ``finish`` syncs."""
+        supervisor, slot, registry, _, _, _ = make_supervisor(
+            supervisor_config())
+        for index in range(50):
+            supervisor.dispatch(0, [f"r{index}", f"s{index}"])
+        assert slot.worker.calls == ["batch"] * 50
+        assert slot.log_gauge.value == 100.0
+        payload = supervisor.finish_worker(slot)
+        assert slot.worker.calls == ["batch"] * 50 + ["finish"]
+        assert len(payload[0]["state"]) == 100
+
+    def test_replay_log_gauge_tracks_current_and_peak_records(self):
+        supervisor, slot, registry, _, _, _ = make_supervisor(
+            supervisor_config())
+        key = "supervisor.replay_log_records{slot=0}"
+        assert registry.as_dict()["gauges"][key] == {"value": 0.0,
+                                                     "max": 0.0}
+        supervisor.dispatch(0, ["a", "b", "c"])
+        supervisor.dispatch(0, ["d"])
+        assert registry.as_dict()["gauges"][key] == {"value": 4.0,
+                                                     "max": 4.0}
+        supervisor.checkpoint_worker(slot)
+        supervisor.dispatch(0, ["e"])
+        assert registry.as_dict()["gauges"][key] == {"value": 1.0,
+                                                     "max": 4.0}
+
     def test_checkpoint_resets_the_replay_log(self):
-        supervisor, slot, _, _, _, _ = make_supervisor(
-            supervisor_config(snapshot_every=100))
+        supervisor, slot, _, _, _, _ = make_supervisor(supervisor_config())
         supervisor.dispatch(0, ["a", "b"])
         supervisor.checkpoint_worker(slot)
         assert slot.baselines[0] == ["a", "b"]
@@ -751,7 +796,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["serve-replay", "--poison-threshold", "0"],
-        ["serve-replay", "--snapshot-every", "0"],
+        ["serve-replay", "--max-restarts", "-1"],
         ["chaos", "--engine-jobs", "0"],
     ])
     def test_bad_supervision_counts_are_rejected_by_the_parser(self, argv):
